@@ -40,12 +40,14 @@
 
 use std::time::Instant;
 
-use arvis_bench::{fig2_config, paper_profile, results_dir, PAPER_DEPTHS, PAPER_SLOTS};
+use arvis_bench::{
+    fig2_config, log_grid, paper_profile, results_dir, runs_csv, PAPER_DEPTHS, PAPER_SLOTS,
+};
 use arvis_core::controller::{MaxDepth, MinDepth, ProposedDpp};
-use arvis_core::distributed::{fleet_csv, run_fleet, FleetSpec};
 use arvis_core::experiment::{Experiment, ExperimentResult};
-use arvis_core::sweep::{log_grid, rate_sweep, rate_sweep_csv, v_sweep, v_sweep_csv};
-use arvis_core::telemetry::series_csv;
+use arvis_core::scenario::{FleetSpec, Scenario};
+use arvis_core::session::SessionBatch;
+use arvis_core::telemetry::{series_csv, CsvRow};
 use arvis_octree::{LodMode, Octree, OctreeConfig};
 use arvis_pointcloud::synth::{SubjectProfile, SynthBodyConfig};
 use arvis_quality::profile::{DepthProfile, QualityMetric};
@@ -75,9 +77,9 @@ fn parse_args() -> Options {
             std::process::exit(2);
         });
         match flag.as_str() {
-            "--points" => opts.points = value.parse().expect("--points expects an integer"),
-            "--slots" => opts.slots = value.parse().expect("--slots expects an integer"),
-            "--seed" => opts.seed = value.parse().expect("--seed expects an integer"),
+            "--points" => opts.points = parse_flag(&flag, &value),
+            "--slots" => opts.slots = parse_flag(&flag, &value),
+            "--seed" => opts.seed = parse_flag(&flag, &value),
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -85,6 +87,15 @@ fn parse_args() -> Options {
         }
     }
     opts
+}
+
+/// Parses a numeric flag value, exiting 2 with the flag and the bad value
+/// on failure (a usage error, like a missing value).
+fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("flag {flag} expects a non-negative integer, got {value:?}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
@@ -609,9 +620,7 @@ fn fig1(opts: &Options) {
         PAPER_DEPTHS.end(),
         build_time.as_secs_f64() * 1e3
     );
-    let path = results_dir().join("fig1_depth_table.csv");
-    write_csv_file(&path, &csv).expect("write fig1 csv");
-    println!("wrote {}\n", path.display());
+    write_result("fig1_depth_table.csv", &csv);
 }
 
 /// Figs. 2(a) and 2(b): queue/stability dynamics and control actions for
@@ -682,6 +691,22 @@ fn fig2(opts: &Options) {
     println!("wrote {} and {}\n", path_a.display(), path_b.display());
 }
 
+/// Runs every session of `scenario` to the horizon with full traces. A
+/// sweep or fleet is few sessions with long runs, so the fan-out unit is
+/// one session (results are chunk-invariant either way).
+fn run_batch(scenario: &Scenario) -> Vec<ExperimentResult> {
+    let mut batch = SessionBatch::full_trace(scenario).with_chunk_size(1);
+    batch.run();
+    batch.into_results()
+}
+
+/// Writes `csv` to `results/{name}` and reports the path.
+fn write_result(name: &str, csv: &str) {
+    let path = results_dir().join(name);
+    write_csv_file(&path, csv).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}\n", path.display());
+}
+
 /// Extension E1: the quality–delay trade-off traced by sweeping V.
 fn vsweep(opts: &Options) {
     println!("== Extension E1: V sweep (quality-delay trade-off) ==");
@@ -690,20 +715,19 @@ fn vsweep(opts: &Options) {
     cfg.slots = opts.slots.max(1_600);
     let center_v = cfg.controller_v;
     let vs = log_grid(center_v / 100.0, center_v * 100.0, 13);
-    let points = v_sweep(&cfg, &vs);
+    let results = run_batch(&Scenario::v_sweep(&cfg, &vs));
     println!(
         "{:>12} {:>12} {:>14} {:>7}",
         "V", "mean_quality", "mean_backlog", "stable"
     );
-    for p in &points {
+    for (v, r) in vs.iter().zip(&results) {
         println!(
             "{:>12.3e} {:>12.4} {:>14.1} {:>7}",
-            p.v, p.mean_quality, p.mean_backlog, p.stable
+            v, r.mean_quality, r.mean_backlog, r.stable
         );
     }
-    let path = results_dir().join("ext_v_sweep.csv");
-    write_csv_file(&path, &v_sweep_csv(&points)).expect("write vsweep");
-    println!("wrote {}\n", path.display());
+    let keys = vs.iter().map(|&v| CsvRow::new().field(v));
+    write_result("ext_v_sweep.csv", &runs_csv("v", keys.zip(&results)));
 }
 
 /// Extension E3: robustness across service rates.
@@ -718,20 +742,22 @@ fn ratesweep(opts: &Options) {
     cfg.slots = opts.slots.max(6_400);
     cfg.warmup = cfg.slots / 2;
     let rates = log_grid(a5 * 1.2, a10 * 1.2, 11);
-    let points = rate_sweep(&cfg, &rates);
+    let results = run_batch(&Scenario::rate_sweep(&cfg, &rates));
     println!(
         "{:>14} {:>12} {:>14} {:>7}",
         "service_rate", "mean_quality", "mean_backlog", "stable"
     );
-    for p in &points {
+    for (rate, r) in rates.iter().zip(&results) {
         println!(
             "{:>14.0} {:>12.4} {:>14.1} {:>7}",
-            p.service_rate, p.mean_quality, p.mean_backlog, p.stable
+            rate, r.mean_quality, r.mean_backlog, r.stable
         );
     }
-    let path = results_dir().join("ext_rate_sweep.csv");
-    write_csv_file(&path, &rate_sweep_csv(&points)).expect("write ratesweep");
-    println!("wrote {}\n", path.display());
+    let keys = rates.iter().map(|&rate| CsvRow::new().field(rate));
+    write_result(
+        "ext_rate_sweep.csv",
+        &runs_csv("service_rate", keys.zip(&results)),
+    );
 }
 
 /// Extension E2: the fully-distributed claim — M independent devices.
@@ -745,17 +771,21 @@ fn distributed(opts: &Options) {
     cfg.warmup = cfg.slots / 2;
     for m in [1usize, 4, 16] {
         let spread = if m == 1 { 0.0 } else { 0.8 };
-        let outcomes = run_fleet(&cfg, FleetSpec::heterogeneous(m, spread));
-        let stable = outcomes.iter().filter(|o| o.result.stable).count();
-        let mean_q: f64 = outcomes.iter().map(|o| o.result.mean_quality).sum::<f64>() / m as f64;
+        let fleet = Scenario::fleet(&cfg, FleetSpec::heterogeneous(m, spread));
+        let results = run_batch(&fleet);
+        let stable = results.iter().filter(|r| r.stable).count();
+        let mean_q: f64 = results.iter().map(|r| r.mean_quality).sum::<f64>() / m as f64;
         println!("fleet of {m:>2}: {stable}/{m} devices stable, mean quality {mean_q:.4}");
         if m == 16 {
-            let path = results_dir().join("ext_distributed.csv");
-            write_csv_file(&path, &fleet_csv(&outcomes)).expect("write distributed");
-            println!("wrote {}", path.display());
+            let keys = fleet
+                .sessions
+                .iter()
+                .enumerate()
+                .map(|(device, s)| CsvRow::new().field(device).fixed(s.service.mean_rate(), 1));
+            let csv = runs_csv("device,service_rate", keys.zip(&results));
+            write_result("ext_distributed.csv", &csv);
         }
     }
-    println!();
 }
 
 /// Ablation A1 (DESIGN.md §6): the quality-model choice.
@@ -804,9 +834,7 @@ fn ablation(opts: &Options) {
             name, cfg.controller_v, knee, r.mean_quality, r.mean_backlog, r.stable
         ));
     }
-    let path = results_dir().join("ext_ablation_quality_model.csv");
-    write_csv_file(&path, &csv).expect("write ablation");
-    println!("wrote {}\n", path.display());
+    write_result("ext_ablation_quality_model.csv", &csv);
 
     // The PSNR-measured profile as a fourth, most-faithful model, on a
     // smaller frame (PSNR measurement is O(n log n) per depth).
@@ -875,46 +903,25 @@ fn energy(opts: &Options) {
             r.stable
         ));
     }
-    let path = results_dir().join("ext_energy_budget.csv");
-    write_csv_file(&path, &csv).expect("write energy csv");
-    println!("wrote {}\n", path.display());
+    write_result("ext_energy_budget.csv", &csv);
 }
 
 /// Extension E6: the shared-uplink contention plane — one measured-profile
 /// fleet, three admission policies, one backhaul covering 70 % of demand.
 fn uplink(opts: &Options) {
-    use arvis_core::experiment::ServiceSpec;
-    use arvis_core::scenario::{ControllerSpec, Scenario, SessionSpec};
+    use arvis_bench::presets::contended_fleet;
     use arvis_core::uplink::{
         run_contended, BudgetProfile, ContendedRun, UplinkPolicy, UplinkSpec, UplinkVAdaptSpec,
     };
-    use arvis_sim::rng::child_seed;
 
     println!("== Extension E6: shared-uplink contention ==");
     let profile = paper_profile(opts.points, opts.seed);
     let mut cfg = fig2_config(profile);
     cfg.slots = opts.slots.max(3_200);
-    cfg.warmup = cfg.slots / 4;
 
-    // 16 proposed-scheduler tenants, device rates spread ±40% around the
-    // calibrated operating point, bounded latency trackers (contention can
-    // push a tenant past its stability region).
-    let devices = 16usize;
-    let base_rate = cfg.service.mean_rate();
-    let mut scenario = Scenario::new(cfg.slots);
-    for i in 0..devices {
-        let frac = i as f64 / (devices - 1) as f64;
-        let mut spec = SessionSpec::from_config(
-            &cfg,
-            ControllerSpec::Proposed {
-                v: cfg.controller_v,
-            },
-        );
-        spec.service = ServiceSpec::Constant(base_rate * (0.6 + 0.8 * frac));
-        spec.seed = child_seed(0xF1EE8, i as u64);
-        spec.frame_cap = Some(8_192);
-        scenario.sessions.push(spec);
-    }
+    // The E5–E8 fleet at full size: 16 tenants over the longer horizon.
+    let scenario = contended_fleet(&cfg, 16);
+    let devices = scenario.len();
     let demand: f64 = scenario
         .sessions
         .iter()
@@ -924,6 +931,21 @@ fn uplink(opts: &Options) {
     println!(
         "{devices} devices, aggregate demand {demand:.0} points/slot, budget {budget:.0} (70%)"
     );
+
+    // A run's stable-tenant count, worst p99 backlog and mean quality.
+    let headline = |run: &ContendedRun| {
+        let tenants = &run.summaries;
+        let worst_p99 = tenants.iter().map(|s| s.backlog_p99).fold(0.0f64, f64::max);
+        let mean_quality = tenants.iter().map(|s| s.mean_quality).sum::<f64>() / devices as f64;
+        (
+            tenants.iter().filter(|s| s.stable).count(),
+            worst_p99,
+            mean_quality,
+        )
+    };
+    let weighted = UplinkPolicy::WeightedMaxWeight {
+        weights: (0..devices).map(|i| 1.0 + (i % 4) as f64).collect(),
+    };
 
     let mut csv = ContendedRun::csv_header();
     csv.push('\n');
@@ -935,9 +957,7 @@ fn uplink(opts: &Options) {
         UplinkPolicy::Unconstrained,
         UplinkPolicy::ProportionalShare,
         UplinkPolicy::MaxWeightBacklog,
-        UplinkPolicy::WeightedMaxWeight {
-            weights: (0..devices).map(|i| 1.0 + (i % 4) as f64).collect(),
-        },
+        weighted.clone(),
         UplinkPolicy::AlphaFair { alpha: 2.0 },
     ] {
         let run = run_contended(
@@ -945,14 +965,7 @@ fn uplink(opts: &Options) {
                 .clone()
                 .with_uplink(UplinkSpec::new(budget, policy)),
         );
-        let stable = run.summaries.iter().filter(|s| s.stable).count();
-        let worst_p99 = run
-            .summaries
-            .iter()
-            .map(|s| s.backlog_p99)
-            .fold(0.0f64, f64::max);
-        let mean_quality: f64 =
-            run.summaries.iter().map(|s| s.mean_quality).sum::<f64>() / devices as f64;
+        let (stable, worst_p99, mean_quality) = headline(&run);
         println!(
             "{:<20} {stable:>6}/{devices} {worst_p99:>16.0} {mean_quality:>13.4} {:>10.1}% {:>10.1}%",
             run.policy.name(),
@@ -985,12 +998,7 @@ fn uplink(opts: &Options) {
         "{:<20} {:<10} {:>9} {:>16} {:>13}",
         "policy", "v_mode", "stable", "worst_p99_backlog", "mean_quality"
     );
-    for policy in [
-        UplinkPolicy::WeightedMaxWeight {
-            weights: (0..devices).map(|i| 1.0 + (i % 4) as f64).collect(),
-        },
-        UplinkPolicy::AlphaFair { alpha: 2.0 },
-    ] {
+    for policy in [weighted, UplinkPolicy::AlphaFair { alpha: 2.0 }] {
         for (v_mode, adapt) in [
             ("fixed", None),
             ("adaptive", Some(UplinkVAdaptSpec::default())),
@@ -1002,14 +1010,7 @@ fn uplink(opts: &Options) {
             let run = run_contended(
                 &contended.with_uplink(UplinkSpec::with_profile(diurnal.clone(), policy.clone())),
             );
-            let stable = run.summaries.iter().filter(|s| s.stable).count();
-            let worst_p99 = run
-                .summaries
-                .iter()
-                .map(|s| s.backlog_p99)
-                .fold(0.0f64, f64::max);
-            let mean_quality: f64 =
-                run.summaries.iter().map(|s| s.mean_quality).sum::<f64>() / devices as f64;
+            let (stable, worst_p99, mean_quality) = headline(&run);
             println!(
                 "{:<20} {v_mode:<10} {stable:>6}/{devices} {worst_p99:>16.0} {mean_quality:>13.4}",
                 run.policy.name(),
@@ -1022,9 +1023,7 @@ fn uplink(opts: &Options) {
             }
         }
     }
-    let path = results_dir().join("ext_uplink_adaptive.csv");
-    write_csv_file(&path, &adaptive_csv).expect("write adaptive uplink csv");
-    println!("wrote {}\n", path.display());
+    write_result("ext_uplink_adaptive.csv", &adaptive_csv);
 }
 
 /// Extension E5: exact per-frame latency distributions for the Fig. 2 runs.
@@ -1055,7 +1054,5 @@ fn latency(opts: &Options) {
             r.controller, s.mean, s.median, s.p95, s.p99, s.max, s.count
         ));
     }
-    let path = results_dir().join("ext_frame_latency.csv");
-    write_csv_file(&path, &csv).expect("write latency csv");
-    println!("wrote {}\n", path.display());
+    write_result("ext_frame_latency.csv", &csv);
 }

@@ -43,7 +43,8 @@ pub mod baseline;
 pub mod presets;
 pub mod report;
 
-use arvis_core::experiment::{v_for_knee, ExperimentConfig};
+use arvis_core::experiment::{v_for_knee, ExperimentConfig, ExperimentResult};
+use arvis_core::telemetry::CsvRow;
 use arvis_pointcloud::synth::{SubjectProfile, SynthBodyConfig};
 use arvis_quality::profile::DepthProfile;
 
@@ -96,6 +97,43 @@ pub fn fig2_config(profile: DepthProfile) -> ExperimentConfig {
         .with_warmup(PAPER_SLOTS / 2)
 }
 
+/// A logarithmic grid of `n` values from `lo` to `hi` (inclusive) — the
+/// `V` and service-rate axes of the E2/E3 sweeps.
+///
+/// # Panics
+///
+/// Panics when `lo <= 0`, `hi < lo`, or `n < 2`.
+pub fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
+    assert!(lo > 0.0 && hi >= lo, "need 0 < lo <= hi");
+    assert!(n >= 2, "need at least two grid points");
+    let (llo, lhi) = (lo.ln(), hi.ln());
+    (0..n)
+        .map(|i| (llo + (lhi - llo) * i as f64 / (n - 1) as f64).exp())
+        .collect()
+}
+
+/// Renders one CSV row per run under the header
+/// `{key_header},mean_quality,mean_backlog,stable`: each row's `key`
+/// columns, then the run's mean quality (6 decimals), mean backlog (3
+/// decimals) and stability verdict. The one writer behind the sweep and
+/// fleet tables.
+pub fn runs_csv<'a>(
+    key_header: &str,
+    rows: impl IntoIterator<Item = (CsvRow, &'a ExperimentResult)>,
+) -> String {
+    let mut out = format!("{key_header},mean_quality,mean_backlog,stable\n");
+    for (key, r) in rows {
+        out.push_str(
+            &key.fixed(r.mean_quality, 6)
+                .fixed(r.mean_backlog, 3)
+                .field(r.stable)
+                .finish(),
+        );
+        out.push('\n');
+    }
+    out
+}
+
 /// Resolves the repository `results/` directory (created if missing):
 /// `$ARVIS_RESULTS_DIR` when set, else `./results` under the current
 /// working directory.
@@ -126,6 +164,40 @@ mod tests {
         let rate = fig2_service_rate(&p);
         assert!(rate > p.arrival(5), "min depth must be sustainable");
         assert!(rate < p.arrival(10), "max depth must be unsustainable");
+    }
+
+    #[test]
+    fn log_grid_endpoints_and_monotonicity() {
+        let g = log_grid(10.0, 1000.0, 5);
+        assert_eq!(g.len(), 5);
+        assert!((g[0] - 10.0).abs() < 1e-9);
+        assert!((g[4] - 1000.0).abs() < 1e-6);
+        for w in g.windows(2) {
+            assert!(w[0] < w[1]);
+        }
+        assert!((g[2] - 100.0).abs() < 1e-6, "log-midpoint");
+    }
+
+    #[test]
+    #[should_panic(expected = "0 < lo")]
+    fn log_grid_rejects_nonpositive() {
+        let _ = log_grid(0.0, 1.0, 3);
+    }
+
+    #[test]
+    fn runs_csv_has_one_row_per_run_under_the_key_header() {
+        use arvis_core::controller::ProposedDpp;
+        use arvis_core::experiment::Experiment;
+        let profile = DepthProfile::from_parts(5, vec![100.0, 400.0], vec![0.0, 1.0]);
+        let r = Experiment::new(ExperimentConfig::new(profile, 500.0, 50))
+            .run(&mut ProposedDpp::new(1e4));
+        let keys = [1.5, 2.5].map(|x| CsvRow::new().field("dev").field(x));
+        let csv = runs_csv("name,x", keys.into_iter().zip([&r, &r]));
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines[0], "name,x,mean_quality,mean_backlog,stable");
+        assert_eq!(lines.len(), 3);
+        assert!(lines[2].starts_with("dev,2.5,"), "{csv}");
+        assert_eq!(lines[2].split(',').count(), 5);
     }
 
     #[test]

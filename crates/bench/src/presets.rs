@@ -15,15 +15,13 @@
 //! conformance only needs the construction to be exact, not large.
 
 use arvis_core::churn::{ChurnArrivalSpec, ChurnSpec, LifetimeSpec};
-use arvis_core::distributed::FleetSpec;
 use arvis_core::experiment::ServiceSpec;
 use arvis_core::fault::{CrashPolicy, DegradationGuardSpec, FaultEvent, FaultPlan, ShedMode};
-use arvis_core::scenario::{ControllerSpec, Scenario, SessionSpec};
-use arvis_core::sweep::log_grid;
+use arvis_core::scenario::{ControllerSpec, FleetSpec, Scenario, SessionSpec};
 use arvis_core::uplink::{BudgetProfile, UplinkPolicy, UplinkSpec, UplinkVAdaptSpec};
 use arvis_sim::rng::child_seed;
 
-use crate::{fig2_config, paper_profile};
+use crate::{fig2_config, log_grid, paper_profile};
 
 /// Point count of the preset workload's synthetic frame (kept small so
 /// golden replay is fast; the figure subcommands use 200k).
@@ -48,6 +46,12 @@ pub const SCENARIO_PRESETS: &[&str] = &[
 /// [`SCENARIO_PRESETS`]).
 pub fn scenario_preset(name: &str) -> Option<Scenario> {
     let cfg = fig2_config(paper_profile(PRESET_POINTS, PRESET_SEED));
+    // E5–E8 share the contended fleet over a 1600-slot horizon.
+    let contended = |devices| {
+        let mut cfg = cfg.clone();
+        cfg.slots = 1_600;
+        contended_fleet(&cfg, devices)
+    };
     Some(match name {
         // E1 / Fig. 2: the paper's three-way comparison — proposed vs
         // only-max vs only-min on one device.
@@ -90,7 +94,7 @@ pub fn scenario_preset(name: &str) -> Option<Scenario> {
         // tenants against one constant backhaul covering 70% of demand,
         // admitted largest-queue-first.
         "e5_shared_uplink" => {
-            let scenario = contended_fleet(&cfg, 8);
+            let scenario = contended(8);
             let demand: f64 = scenario
                 .sessions
                 .iter()
@@ -106,7 +110,7 @@ pub fn scenario_preset(name: &str) -> Option<Scenario> {
         // weighted max-weight admission, every tenant shedding quality via
         // uplink-aware V adaptation instead of queueing through the trough.
         "e6_diurnal_adaptive" => {
-            let mut scenario = contended_fleet(&cfg, 8);
+            let mut scenario = contended(8);
             let demand: f64 = scenario
                 .sessions
                 .iter()
@@ -133,7 +137,7 @@ pub fn scenario_preset(name: &str) -> Option<Scenario> {
         // grants on a third, and a degradation guard deferring the
         // lowest-weight tenants when the smoothed contention saturates.
         "e7_fault_outage" => {
-            let mut scenario = contended_fleet(&cfg, 8);
+            let mut scenario = contended(8);
             let demand: f64 = scenario
                 .sessions
                 .iter()
@@ -193,7 +197,7 @@ pub fn scenario_preset(name: &str) -> Option<Scenario> {
         // lifetimes around a third of the horizon, and SoA compaction of
         // departed tenants (bitwise invisible; see `arvis_core::churn`).
         "e8_churn" => {
-            let scenario = contended_fleet(&cfg, 6);
+            let scenario = contended(6);
             let demand: f64 = scenario
                 .sessions
                 .iter()
@@ -233,13 +237,14 @@ pub fn scenario_preset(name: &str) -> Option<Scenario> {
     })
 }
 
-/// The shared contended-fleet substrate of E5/E6: `devices` proposed
-/// controllers at the calibrated `V`, service rates spread ±40% around the
-/// Fig. 2 operating point, decorrelated seeds, bounded latency trackers
-/// (contention can push a tenant past its stability region).
-fn contended_fleet(cfg: &arvis_core::ExperimentConfig, devices: usize) -> Scenario {
+/// The shared contended-fleet substrate of E5–E8 and the `uplink`
+/// experiment: `devices` proposed controllers at the calibrated `V`,
+/// service rates spread ±40% around `cfg`'s operating point, decorrelated
+/// seeds, bounded latency trackers (contention can push a tenant past its
+/// stability region), over `cfg.slots` slots with the first quarter as
+/// warm-up.
+pub fn contended_fleet(cfg: &arvis_core::ExperimentConfig, devices: usize) -> Scenario {
     let mut cfg = cfg.clone();
-    cfg.slots = 1_600;
     cfg.warmup = cfg.slots / 4;
     let base_rate = cfg.service.mean_rate();
     let mut scenario = Scenario::new(cfg.slots);

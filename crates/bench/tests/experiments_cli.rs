@@ -10,6 +10,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use arvis_bench::presets::SCENARIO_PRESETS;
+
 fn experiments() -> Command {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
 }
@@ -150,10 +152,24 @@ fn verify_passes_on_the_committed_tree() {
         Some(0),
         "clean tree must verify: {stderr}"
     );
-    assert!(
-        stderr.contains("7 scenario(s), 0 failure(s)"),
-        "all seven goldens checked: {stderr}"
-    );
+    let all = format!("{} scenario(s), 0 failure(s)", SCENARIO_PRESETS.len());
+    assert!(stderr.contains(&all), "every golden checked: {stderr}");
+}
+
+#[test]
+fn bad_numeric_flags_exit_2_naming_flag_and_value() {
+    // A usage error, like a missing value: exit 2 with a message, not a
+    // panic with exit 101 and a backtrace.
+    for (flag, value) in [("--points", "abc"), ("--slots", "-5"), ("--seed", "1.5")] {
+        let out = experiments().args(["fig1", flag, value]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(value),
+            "names the flag and the value: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }
 
 #[test]

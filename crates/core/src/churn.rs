@@ -40,7 +40,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::CrashPolicy;
-use crate::json::{self, JsonError, JsonValue, Pos};
+use crate::json::{self, JsonError, JsonValue};
 use crate::scenario::{ControllerSpec, Scenario, SessionSpec};
 use crate::session::SessionBatch;
 use crate::telemetry::{SummarySink, TelemetrySink};
@@ -83,15 +83,13 @@ pub enum ChurnArrivalSpec {
 }
 
 impl ChurnArrivalSpec {
-    /// Reports parameter violations through `fail`, prefixed `"arrivals:"`.
-    fn try_validate(&self, fail: &mut dyn FnMut(String)) {
+    /// Validates the process parameters, prefixed `"arrivals:"`.
+    fn validate(&self) -> Result<(), String> {
         match self {
-            ChurnArrivalSpec::Poisson { lambda, .. } => {
-                if !(lambda.is_finite() && *lambda >= 0.0) {
-                    fail(format!(
-                        "arrivals: poisson lambda must be finite and non-negative, got {lambda}"
-                    ));
-                }
+            ChurnArrivalSpec::Poisson { lambda, .. } if !(lambda.is_finite() && *lambda >= 0.0) => {
+                Err(format!(
+                    "arrivals: poisson lambda must be finite and non-negative, got {lambda}"
+                ))
             }
             ChurnArrivalSpec::Mmpp2 {
                 lambda_low,
@@ -102,22 +100,22 @@ impl ChurnArrivalSpec {
             } => {
                 for (name, rate) in [("lambda_low", lambda_low), ("lambda_high", lambda_high)] {
                     if !(rate.is_finite() && *rate >= 0.0) {
-                        fail(format!(
+                        return Err(format!(
                             "arrivals: mmpp2 {name} must be finite and non-negative, got {rate}"
                         ));
                     }
                 }
                 for (name, p) in [("switch_up", switch_up), ("switch_down", switch_down)] {
                     if !(0.0..=1.0).contains(p) {
-                        fail(format!("arrivals: mmpp2 {name} must be in [0, 1], got {p}"));
+                        return Err(format!("arrivals: mmpp2 {name} must be in [0, 1], got {p}"));
                     }
                 }
+                Ok(())
             }
-            ChurnArrivalSpec::Trace { counts } => {
-                if counts.is_empty() {
-                    fail("arrivals: need at least one traced join count".to_string());
-                }
+            ChurnArrivalSpec::Trace { counts } if counts.is_empty() => {
+                Err("arrivals: need at least one traced join count".to_string())
             }
+            _ => Ok(()),
         }
     }
 }
@@ -153,28 +151,19 @@ pub enum LifetimeSpec {
 }
 
 impl LifetimeSpec {
-    /// Reports parameter violations through `fail`, prefixed `"lifetime:"`.
-    fn try_validate(&self, fail: &mut dyn FnMut(String)) {
+    /// Validates the distribution parameters, prefixed `"lifetime:"`.
+    fn validate(&self) -> Result<(), String> {
         match self {
-            LifetimeSpec::Fixed { slots } => {
-                if *slots == 0 {
-                    fail("lifetime: fixed lifetime must be at least 1 slot".to_string());
-                }
+            LifetimeSpec::Fixed { slots: 0 } => {
+                Err("lifetime: fixed lifetime must be at least 1 slot".to_string())
             }
-            LifetimeSpec::Geometric { mean, .. } => {
-                if !(mean.is_finite() && *mean >= 1.0) {
-                    fail(format!(
-                        "lifetime: geometric mean must be finite and at least 1, got {mean}"
-                    ));
-                }
-            }
-            LifetimeSpec::Uniform { min, max, .. } => {
-                if *min == 0 || min > max {
-                    fail(format!(
-                        "lifetime: uniform lifetime needs 1 <= min <= max, got [{min}, {max}]"
-                    ));
-                }
-            }
+            LifetimeSpec::Geometric { mean, .. } if !(mean.is_finite() && *mean >= 1.0) => Err(
+                format!("lifetime: geometric mean must be finite and at least 1, got {mean}"),
+            ),
+            LifetimeSpec::Uniform { min, max, .. } if *min == 0 || min > max => Err(format!(
+                "lifetime: uniform lifetime needs 1 <= min <= max, got [{min}, {max}]"
+            )),
+            _ => Ok(()),
         }
     }
 
@@ -291,47 +280,35 @@ impl ChurnSpec {
         self.arrivals.is_none() && self.lifetime.is_none()
     }
 
-    /// Validates the spec's internal consistency.
+    /// Validates the spec's internal consistency, naming the offending
+    /// member first (`"max_joins: …"`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on bad arrival/lifetime parameters, arrivals without a
+    /// Errors on bad arrival/lifetime parameters, arrivals without a
     /// template or with `max_joins == 0`, a template / `max_joins` /
     /// `weight` without arrivals, a non-positive or non-finite weight, or
     /// a template whose `uplink_v_adapt` lacks a proposed controller.
-    pub fn validate(&self) {
-        // arvis-lint: allow(panic-free-codecs, "the documented panicking variant; from_json routes the same walk into positioned errors")
-        self.try_validate(&mut |msg| panic!("{msg}"))
-    }
-
-    /// The shared validation walk: every violation is reported through
-    /// `fail`, prefixed with the offending field name (panic for
-    /// [`ChurnSpec::validate`], positioned error for
-    /// [`ChurnSpec::from_json`]).
-    fn try_validate(&self, fail: &mut dyn FnMut(String)) {
+    pub fn validate(&self) -> Result<(), String> {
         if let Some(arrivals) = &self.arrivals {
-            arrivals.try_validate(fail);
+            arrivals.validate()?;
             if self.template.is_none() {
-                fail("arrivals: churn arrivals require a session template".to_string());
+                return Err("arrivals: churn arrivals require a session template".to_string());
             }
             if self.max_joins == 0 {
-                fail("max_joins: churn arrivals require max_joins >= 1".to_string());
+                return Err("max_joins: churn arrivals require max_joins >= 1".to_string());
             }
-        } else {
-            if self.template.is_some() {
-                fail("template: a churn template requires arrivals".to_string());
-            }
-            if self.max_joins > 0 {
-                fail("max_joins: max_joins without arrivals has no effect; omit it".to_string());
-            }
-            if self.weight.is_some() {
-                fail("weight: a churn weight requires arrivals".to_string());
-            }
+        } else if self.template.is_some() {
+            return Err("template: a churn template requires arrivals".to_string());
+        } else if self.max_joins > 0 {
+            return Err("max_joins: max_joins without arrivals has no effect; omit it".to_string());
+        } else if self.weight.is_some() {
+            return Err("weight: a churn weight requires arrivals".to_string());
         }
         if let Some(template) = &self.template {
             let proposed = matches!(template.controller, ControllerSpec::Proposed { v } if v > 0.0);
             if template.uplink_v_adapt.is_some() && !proposed {
-                fail(
+                return Err(
                     "template: uplink_v_adapt requires a proposed controller with v > 0"
                         .to_string(),
                 );
@@ -339,13 +316,14 @@ impl ChurnSpec {
         }
         if let Some(weight) = self.weight {
             if !(weight.is_finite() && weight > 0.0) {
-                fail(format!(
+                return Err(format!(
                     "weight: churn weight must be finite and positive, got {weight}"
                 ));
             }
         }
-        if let Some(lifetime) = &self.lifetime {
-            lifetime.try_validate(fail);
+        match &self.lifetime {
+            Some(lifetime) => lifetime.validate(),
+            None => Ok(()),
         }
     }
 
@@ -432,8 +410,8 @@ impl ChurnSpec {
         Ok(JsonValue::obj(members))
     }
 
-    /// Decodes a spec from its scenario-file form, turning every
-    /// [`ChurnSpec::validate`] panic into a positioned error.
+    /// Decodes a spec from its scenario-file form, positioning the first
+    /// [`ChurnSpec::validate`] violation at the offending member.
     ///
     /// # Errors
     ///
@@ -442,10 +420,8 @@ impl ChurnSpec {
     /// [`ChurnSpec::validate`] checks.
     pub fn from_json(v: &JsonValue) -> Result<ChurnSpec, JsonError> {
         let mut obj = v.as_obj()?;
-        let mut positions: Vec<(&str, Pos)> = Vec::new();
         let arrivals = match obj.opt("arrivals") {
             Some(node) => {
-                positions.push(("arrivals", node.pos));
                 let mut arr = node.as_obj()?;
                 let tag = arr.req("type")?;
                 let parsed = match tag.as_str()? {
@@ -483,30 +459,14 @@ impl ChurnSpec {
             }
             None => None,
         };
-        let template = match obj.opt("template") {
-            Some(node) => {
-                positions.push(("template", node.pos));
-                Some(SessionSpec::from_json(node)?)
-            }
-            None => None,
-        };
-        let max_joins = match obj.opt("max_joins") {
-            Some(node) => {
-                positions.push(("max_joins", node.pos));
-                node.as_u64()?
-            }
-            None => 0,
-        };
-        let weight = match obj.opt("weight") {
-            Some(node) => {
-                positions.push(("weight", node.pos));
-                Some(node.as_f64()?)
-            }
-            None => None,
-        };
+        let template = obj
+            .opt("template")
+            .map(SessionSpec::from_json)
+            .transpose()?;
+        let max_joins = obj.opt("max_joins").map(JsonValue::as_u64).transpose()?;
+        let weight = obj.opt("weight").map(JsonValue::as_f64).transpose()?;
         let lifetime = match obj.opt("lifetime") {
             Some(node) => {
-                positions.push(("lifetime", node.pos));
                 let mut life = node.as_obj()?;
                 let tag = life.req("type")?;
                 let parsed = match tag.as_str()? {
@@ -542,33 +502,13 @@ impl ChurnSpec {
         let spec = ChurnSpec {
             arrivals,
             template,
-            max_joins,
+            max_joins: max_joins.unwrap_or(0),
             weight,
             lifetime,
             compact,
         };
-        // Cross-field validation with the offending member's position: the
-        // walk prefixes each message with the field name.
-        let mut first: Option<JsonError> = None;
-        spec.try_validate(&mut |msg| {
-            if first.is_none() {
-                let pos = msg
-                    .split(':')
-                    .next()
-                    .and_then(|field| {
-                        positions
-                            .iter()
-                            .find(|(name, _)| *name == field)
-                            .map(|(_, pos)| *pos)
-                    })
-                    .unwrap_or(v.pos);
-                first = Some(JsonError::at(pos, msg));
-            }
-        });
-        match first {
-            Some(err) => Err(err),
-            None => Ok(spec),
-        }
+        json::positioned(spec.validate(), &[], v)?;
+        Ok(spec)
     }
 }
 
@@ -652,7 +592,10 @@ impl ChurnPlane {
     ///
     /// Panics on an invalid spec (see [`ChurnSpec::validate`]).
     pub fn new(spec: &ChurnSpec, scenario: &Scenario) -> ChurnPlane {
-        spec.validate();
+        if let Err(msg) = spec.validate() {
+            // arvis-lint: allow(panic-free-codecs, "the documented panicking constructor; from_json reports the same message as a positioned error")
+            panic!("{msg}");
+        }
         let horizon = scenario.slots;
         let n0 = scenario.sessions.len() as u64;
         let mut joins = Vec::new();
@@ -801,7 +744,7 @@ mod tests {
     fn empty_spec_is_empty_and_valid() {
         let spec = ChurnSpec::new();
         assert!(spec.is_empty());
-        spec.validate();
+        assert_eq!(spec.validate(), Ok(()));
         let plane = ChurnPlane::new(&spec, &scenario(100, 2));
         assert!(plane.join_schedule().is_empty());
         assert!(plane.departure_schedule().is_empty());
@@ -892,9 +835,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "max_joins")]
-    fn arrivals_without_max_joins_panic() {
-        ChurnSpec::new()
+    fn arrivals_without_max_joins_are_rejected() {
+        let err = ChurnSpec::new()
             .with_arrivals(
                 ChurnArrivalSpec::Poisson {
                     lambda: 1.0,
@@ -903,13 +845,17 @@ mod tests {
                 template(),
                 0,
             )
-            .validate();
+            .validate()
+            .unwrap_err();
+        assert!(err.starts_with("max_joins:"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "weight: a churn weight requires arrivals")]
-    fn weight_without_arrivals_panics() {
-        ChurnSpec::new().with_weight(2.0).validate();
+    fn weight_without_arrivals_is_rejected() {
+        assert_eq!(
+            ChurnSpec::new().with_weight(2.0).validate(),
+            Err("weight: a churn weight requires arrivals".to_string())
+        );
     }
 
     #[test]

@@ -199,12 +199,20 @@ impl QueueThreshold {
     ///
     /// Panics when `thresholds` is empty or not strictly ascending.
     pub fn new(thresholds: Vec<f64>) -> Self {
-        assert!(!thresholds.is_empty(), "need at least one threshold");
-        assert!(
-            thresholds.windows(2).all(|w| w[0] < w[1]),
-            "thresholds must be strictly ascending"
-        );
+        Self::check(&thresholds).unwrap_or_else(|msg| panic!("{msg}"));
         QueueThreshold { thresholds }
+    }
+
+    /// The [`QueueThreshold::new`] invariants as a `Result`, naming the
+    /// field first (`"thresholds: …"`).
+    pub(crate) fn check(thresholds: &[f64]) -> Result<(), String> {
+        if thresholds.is_empty() {
+            return Err("thresholds: need at least one threshold".to_string());
+        }
+        if !thresholds.windows(2).all(|w| w[0] < w[1]) {
+            return Err("thresholds: thresholds must be strictly ascending".to_string());
+        }
+        Ok(())
     }
 
     /// Evenly spaced thresholds between 0 and `max_backlog` covering the

@@ -172,43 +172,50 @@ pub struct DegradationGuardSpec {
 }
 
 impl DegradationGuardSpec {
-    /// Validates the guard parameters.
+    /// Validates the guard parameters, naming the offending member first
+    /// (`"guard ema_alpha: …"`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `ema_alpha ∉ (0, 1]`,
+    /// Errors when `ema_alpha ∉ (0, 1]`,
     /// `0 ≤ release_below ≤ engage_above ≤ 1` fails, `backlog_limit` is
     /// NaN or non-positive, `shed_fraction ∉ (0, 1]`, or a clamp factor
     /// is outside `[0, 1)`.
-    pub fn validate(&self) {
-        assert!(
-            self.ema_alpha > 0.0 && self.ema_alpha <= 1.0,
-            "guard ema_alpha must be in (0, 1], got {}",
-            self.ema_alpha
-        );
-        assert!(
-            0.0 <= self.release_below
-                && self.release_below <= self.engage_above
-                && self.engage_above <= 1.0,
-            "guard needs 0 <= release_below <= engage_above <= 1, got [{}, {}]",
-            self.release_below,
-            self.engage_above
-        );
-        assert!(
-            !self.backlog_limit.is_nan() && self.backlog_limit > 0.0,
-            "guard backlog_limit must be positive (inf disables it), got {}",
-            self.backlog_limit
-        );
-        assert!(
-            self.shed_fraction > 0.0 && self.shed_fraction <= 1.0,
-            "guard shed_fraction must be in (0, 1], got {}",
-            self.shed_fraction
-        );
-        if let ShedMode::Clamp { factor } = self.mode {
-            assert!(
-                (0.0..1.0).contains(&factor),
-                "guard clamp factor must be in [0, 1), got {factor}"
-            );
+    pub fn validate(&self) -> Result<(), String> {
+        let DegradationGuardSpec {
+            ema_alpha,
+            engage_above,
+            release_below,
+            backlog_limit,
+            shed_fraction,
+            mode,
+        } = *self;
+        if !(ema_alpha > 0.0 && ema_alpha <= 1.0) {
+            return Err(format!(
+                "guard ema_alpha: must be in (0, 1], got {ema_alpha}"
+            ));
+        }
+        if !(0.0 <= release_below && release_below <= engage_above && engage_above <= 1.0) {
+            return Err(format!(
+                "guard release_below: need 0 <= release_below <= engage_above <= 1, \
+                 got [{release_below}, {engage_above}]"
+            ));
+        }
+        if backlog_limit.is_nan() || backlog_limit <= 0.0 {
+            return Err(format!(
+                "guard backlog_limit: must be positive (inf disables it), got {backlog_limit}"
+            ));
+        }
+        if !(shed_fraction > 0.0 && shed_fraction <= 1.0) {
+            return Err(format!(
+                "guard shed_fraction: must be in (0, 1], got {shed_fraction}"
+            ));
+        }
+        match mode {
+            ShedMode::Clamp { factor } if !(0.0..1.0).contains(&factor) => Err(format!(
+                "guard factor: clamp factor must be in [0, 1), got {factor}"
+            )),
+            _ => Ok(()),
         }
     }
 
@@ -248,8 +255,9 @@ impl DegradationGuardSpec {
         ]))
     }
 
-    /// Decodes the guard from its scenario-file form, enforcing every
-    /// [`DegradationGuardSpec::validate`] condition as a positioned error.
+    /// Decodes the guard from its scenario-file form, running
+    /// [`DegradationGuardSpec::validate`] and positioning its first
+    /// violation at the offending member.
     ///
     /// # Errors
     ///
@@ -257,58 +265,24 @@ impl DegradationGuardSpec {
     /// wrong types, and out-of-range parameters.
     pub fn from_json(v: &JsonValue) -> Result<DegradationGuardSpec, JsonError> {
         let mut obj = v.as_obj()?;
-        let alpha_node = obj.req("ema_alpha")?;
-        let ema_alpha = alpha_node.as_f64()?;
-        if !(ema_alpha > 0.0 && ema_alpha <= 1.0) {
-            return Err(JsonError::at(
-                alpha_node.pos,
-                format!("ema_alpha must be in (0, 1], got {ema_alpha}"),
-            ));
-        }
-        let engage_node = obj.req("engage_above")?;
-        let engage_above = engage_node.as_f64()?;
-        let release_node = obj.req("release_below")?;
-        let release_below = release_node.as_f64()?;
-        if !(0.0 <= release_below && release_below <= engage_above && engage_above <= 1.0) {
-            return Err(JsonError::at(
-                release_node.pos,
-                format!(
-                    "need 0 <= release_below <= engage_above <= 1, \
-                     got [{release_below}, {engage_above}]"
-                ),
-            ));
-        }
-        let limit_node = obj.req("backlog_limit")?;
-        let backlog_limit = limit_node.as_f64_or_inf()?;
-        if backlog_limit <= 0.0 || backlog_limit.is_nan() {
-            return Err(JsonError::at(
-                limit_node.pos,
-                format!("backlog_limit must be positive (inf disables it), got {backlog_limit}"),
-            ));
-        }
-        let shed_node = obj.req("shed_fraction")?;
-        let shed_fraction = shed_node.as_f64()?;
-        if !(shed_fraction > 0.0 && shed_fraction <= 1.0) {
-            return Err(JsonError::at(
-                shed_node.pos,
-                format!("shed_fraction must be in (0, 1], got {shed_fraction}"),
-            ));
-        }
+        let ema_alpha = obj.req("ema_alpha")?;
+        let engage_above = obj.req("engage_above")?;
+        let release_below = obj.req("release_below")?;
+        let backlog_limit = obj.req("backlog_limit")?;
+        let shed_fraction = obj.req("shed_fraction")?;
         let mode_node = obj.req("mode")?;
         let mut mode_obj = mode_node.as_obj()?;
         let tag = mode_obj.req("type")?;
-        let mode = match tag.as_str()? {
-            "defer" => ShedMode::Defer,
+        let (mode, mode_pos) = match tag.as_str()? {
+            "defer" => (ShedMode::Defer, mode_node.pos),
             "clamp" => {
-                let factor_node = mode_obj.req("factor")?;
-                let factor = factor_node.as_f64()?;
-                if !(0.0..1.0).contains(&factor) {
-                    return Err(JsonError::at(
-                        factor_node.pos,
-                        format!("clamp factor must be in [0, 1), got {factor}"),
-                    ));
-                }
-                ShedMode::Clamp { factor }
+                let factor = mode_obj.req("factor")?;
+                (
+                    ShedMode::Clamp {
+                        factor: factor.as_f64()?,
+                    },
+                    factor.pos,
+                )
             }
             other => {
                 return Err(JsonError::at(
@@ -319,14 +293,24 @@ impl DegradationGuardSpec {
         };
         mode_obj.finish()?;
         obj.finish()?;
-        Ok(DegradationGuardSpec {
-            ema_alpha,
-            engage_above,
-            release_below,
-            backlog_limit,
-            shed_fraction,
+        let guard = DegradationGuardSpec {
+            ema_alpha: ema_alpha.as_f64()?,
+            engage_above: engage_above.as_f64()?,
+            release_below: release_below.as_f64()?,
+            backlog_limit: backlog_limit.as_f64_or_inf()?,
+            shed_fraction: shed_fraction.as_f64()?,
             mode,
-        })
+        };
+        let positions = [
+            ("ema_alpha", ema_alpha.pos),
+            ("release_below", release_below.pos),
+            ("backlog_limit", backlog_limit.pos),
+            ("shed_fraction", shed_fraction.pos),
+            ("factor", mode_pos),
+        ]
+        .map(|(key, pos)| (format!("guard {key}"), pos));
+        json::positioned(guard.validate(), &positions, v)?;
+        Ok(guard)
     }
 }
 
@@ -368,65 +352,53 @@ impl FaultPlan {
         self.events.is_empty() && self.guard.is_none()
     }
 
-    /// Validates the plan against a fleet of `sessions` sessions.
+    /// Validates the plan against a fleet of `sessions` sessions. Event
+    /// violations name the event first (`"event 3: …"`), guard violations
+    /// come from [`DegradationGuardSpec::validate`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero-length or overflowing window, a brownout factor
+    /// Errors on a zero-length or overflowing window, a brownout factor
     /// outside `[0, 1]`, a loss probability outside `[0, 1]`, more than
     /// one [`FaultEvent::GrantLoss`] per session, an out-of-range session
     /// index, a `restart_after` missing (restartable) or present
     /// (permanent), per-session crash schedules that are unsorted or
     /// overlap a previous downtime window, a crash after a permanent one,
-    /// or an invalid guard (see [`DegradationGuardSpec::validate`]).
-    pub fn validate(&self, sessions: usize) {
-        // arvis-lint: allow(panic-free-codecs, "the documented panicking variant; from_json routes the same walk into positioned errors")
-        self.try_validate(sessions, &mut |msg| panic!("{msg}"))
-    }
-
-    /// The shared validation walk: every violation is reported through
-    /// `fail` (panic for [`FaultPlan::validate`], positioned error
-    /// collection for [`FaultPlan::from_json`]).
-    fn try_validate(&self, sessions: usize, fail: &mut dyn FnMut(String)) {
+    /// or an invalid guard.
+    pub fn validate(&self, sessions: usize) -> Result<(), String> {
         let mut has_loss = vec![false; sessions];
         // Per-session crash bookkeeping: (last crash slot, earliest slot
         // the next crash may use, permanently crashed).
         let mut crash_floor: Vec<Option<(u64, u64, bool)>> = vec![None; sessions];
         for (i, event) in self.events.iter().enumerate() {
+            let fail = |msg: String| Err(format!("event {i}: {msg}"));
             match event {
                 FaultEvent::Outage { start, slots } | FaultEvent::Brownout { start, slots, .. } => {
                     if *slots == 0 {
-                        fail(format!("event {i}: window must cover at least one slot"));
+                        return fail("window must cover at least one slot".to_string());
                     }
                     if start.checked_add(*slots).is_none() {
-                        fail(format!(
-                            "event {i}: window end overflows (start {start} + {slots})"
-                        ));
+                        return fail(format!("window end overflows (start {start} + {slots})"));
                     }
                     if let FaultEvent::Brownout { factor, .. } = event {
                         if !(0.0..=1.0).contains(factor) {
-                            fail(format!(
-                                "event {i}: brownout factor must be in [0, 1], got {factor}"
+                            return fail(format!(
+                                "brownout factor must be in [0, 1], got {factor}"
                             ));
                         }
                     }
                 }
                 FaultEvent::GrantLoss { session, p, .. } => {
                     if *session >= sessions {
-                        fail(format!(
-                            "event {i}: session {session} out of range (fleet has {sessions})"
+                        return fail(format!(
+                            "session {session} out of range (fleet has {sessions})"
                         ));
-                        continue;
                     }
                     if !(0.0..=1.0).contains(p) {
-                        fail(format!(
-                            "event {i}: loss probability must be in [0, 1], got {p}"
-                        ));
+                        return fail(format!("loss probability must be in [0, 1], got {p}"));
                     }
                     if has_loss[*session] {
-                        fail(format!(
-                            "event {i}: session {session} already has a grant_loss event"
-                        ));
+                        return fail(format!("session {session} already has a grant_loss event"));
                     }
                     has_loss[*session] = true;
                 }
@@ -437,67 +409,60 @@ impl FaultPlan {
                     policy,
                 } => {
                     if *session >= sessions {
-                        fail(format!(
-                            "event {i}: session {session} out of range (fleet has {sessions})"
+                        return fail(format!(
+                            "session {session} out of range (fleet has {sessions})"
                         ));
-                        continue;
                     }
                     let restart_at = match (policy, restart_after) {
                         (CrashPolicy::Permanent, Some(_)) => {
-                            fail(format!(
-                                "event {i}: a permanent crash takes no restart_after"
-                            ));
-                            u64::MAX
+                            return fail("a permanent crash takes no restart_after".to_string());
                         }
                         (CrashPolicy::Permanent, None) => u64::MAX,
                         (_, None) => {
-                            fail(format!(
-                                "event {i}: a {} crash requires restart_after",
+                            return fail(format!(
+                                "a {} crash requires restart_after",
                                 policy.name()
                             ));
-                            u64::MAX
                         }
                         (_, Some(0)) => {
-                            fail(format!("event {i}: restart_after must be at least 1"));
-                            u64::MAX
+                            return fail("restart_after must be at least 1".to_string());
                         }
                         (_, Some(after)) => match slot.checked_add(*after) {
                             Some(at) => at,
                             None => {
-                                fail(format!(
-                                    "event {i}: restart slot overflows ({slot} + {after})"
-                                ));
-                                u64::MAX
+                                return fail(format!("restart slot overflows ({slot} + {after})"))
                             }
                         },
                     };
                     match crash_floor[*session] {
-                        Some((last, _, true)) => fail(format!(
-                            "event {i}: session {session} crashed permanently at slot {last}; \
-                             nothing can follow"
-                        )),
-                        Some((last, floor, false)) => {
-                            if *slot <= last {
-                                fail(format!(
-                                    "event {i}: session {session} crashes must have strictly \
-                                     ascending slots (got {slot} after {last})"
-                                ));
-                            } else if *slot < floor {
-                                fail(format!(
-                                    "event {i}: session {session} crash at slot {slot} overlaps \
-                                     the previous downtime (ends at slot {floor})"
-                                ));
-                            }
+                        Some((last, _, true)) => {
+                            return fail(format!(
+                                "session {session} crashed permanently at slot {last}; \
+                                 nothing can follow"
+                            ))
                         }
-                        None => {}
+                        Some((last, _, false)) if *slot <= last => {
+                            return fail(format!(
+                                "session {session} crashes must have strictly ascending slots \
+                                 (got {slot} after {last})"
+                            ))
+                        }
+                        Some((_, floor, false)) if *slot < floor => {
+                            return fail(format!(
+                                "session {session} crash at slot {slot} overlaps the previous \
+                                 downtime (ends at slot {floor})"
+                            ))
+                        }
+                        _ => {}
                     }
                     crash_floor[*session] =
                         Some((*slot, restart_at, matches!(policy, CrashPolicy::Permanent)));
                 }
             }
         }
-        if let Some(guard) = &self.guard {
-            guard.validate();
+        match &self.guard {
+            Some(guard) => guard.validate(),
+            None => Ok(()),
         }
     }
 
@@ -559,8 +524,8 @@ impl FaultPlan {
     }
 
     /// Decodes a plan from its scenario-file form and validates it against
-    /// a fleet of `sessions` sessions, turning every
-    /// [`FaultPlan::validate`] panic into a positioned error.
+    /// a fleet of `sessions` sessions, positioning the first
+    /// [`FaultPlan::validate`] violation at the offending event.
     ///
     /// # Errors
     ///
@@ -627,7 +592,7 @@ impl FaultPlan {
                 }
             };
             event.finish()?;
-            positions.push(item.pos);
+            positions.push((format!("event {}", events.len()), item.pos));
             events.push(parsed);
         }
         let guard = match obj.opt("guard") {
@@ -636,24 +601,8 @@ impl FaultPlan {
         };
         obj.finish()?;
         let plan = FaultPlan { events, guard };
-        // Cross-field validation with the offending event's position: the
-        // walk reports "event {i}: …", which indexes into `positions`.
-        let mut first: Option<JsonError> = None;
-        plan.try_validate(sessions, &mut |msg| {
-            if first.is_none() {
-                let pos = msg
-                    .strip_prefix("event ")
-                    .and_then(|rest| rest.split(':').next())
-                    .and_then(|idx| idx.parse::<usize>().ok())
-                    .and_then(|idx| positions.get(idx).copied())
-                    .unwrap_or(v.pos);
-                first = Some(JsonError::at(pos, msg));
-            }
-        });
-        match first {
-            Some(err) => Err(err),
-            None => Ok(plan),
-        }
+        json::positioned(plan.validate(sessions), &positions, v)?;
+        Ok(plan)
     }
 }
 
@@ -778,7 +727,10 @@ impl FaultPlane {
     ///
     /// Panics when [`FaultPlan::validate`] rejects the plan.
     pub fn new(plan: &FaultPlan, sessions: usize) -> FaultPlane {
-        plan.validate(sessions);
+        if let Err(msg) = plan.validate(sessions) {
+            // arvis-lint: allow(panic-free-codecs, "the documented panicking constructor; from_json reports the same message as a positioned error")
+            panic!("{msg}");
+        }
         let mut windows = Vec::new();
         let mut losses = Vec::new();
         let mut crashes = Vec::new();
@@ -837,11 +789,6 @@ impl FaultPlane {
             lost_total: 0.0,
             outage_slots: 0,
         }
-    }
-
-    /// `true` when the plan declares a degradation guard.
-    pub fn has_guard(&self) -> bool {
-        self.guard.is_some()
     }
 
     /// The slot's budget after outage/brownout windows: an outage forces
@@ -999,7 +946,7 @@ mod tests {
                 policy: CrashPolicy::Permanent,
             })
             .with_guard(guard_spec());
-        plan.validate(3);
+        assert_eq!(plan.validate(3), Ok(()));
         let text = plan.to_json().unwrap().to_pretty();
         let back = FaultPlan::from_json(&crate::json::parse(&text).unwrap(), 3).unwrap();
         assert_eq!(back, plan);
@@ -1111,9 +1058,7 @@ mod tests {
                 "got \"{}\", want \"{want}\"",
                 err.msg
             );
-            let caught =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan.validate(sessions)));
-            assert!(caught.is_err(), "validate must panic: {want}");
+            assert_eq!(plan.validate(sessions), Err(err.msg), "one walk: {want}");
         }
     }
 

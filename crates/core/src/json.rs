@@ -187,6 +187,32 @@ pub fn num_or_inf_checked(field: &str, x: f64) -> Result<JsonValue, JsonError> {
     }
 }
 
+/// Positions a spec's `validate` verdict for its decoder. Validation
+/// messages start with the offending member (`"weight: …"`,
+/// `"event 3: …"`). That prefix is looked up in `positions` (for members
+/// that are not keys of `spec`, such as array items), then among the keys
+/// of `spec`, the spec's own node; anything else falls back to `spec`.
+///
+/// # Errors
+///
+/// Returns the verdict's message as a [`JsonError`] at that position.
+pub fn positioned(
+    verdict: Result<(), String>,
+    positions: &[(String, Pos)],
+    spec: &JsonValue,
+) -> Result<(), JsonError> {
+    verdict.map_err(|msg| {
+        let member = msg.split_once(':').map_or("", |(member, _)| member);
+        let pos = positions
+            .iter()
+            .find(|(name, _)| name == member)
+            .map(|(_, pos)| *pos)
+            .or_else(|| Some(spec.as_obj().ok()?.opt(member)?.pos))
+            .unwrap_or(spec.pos);
+        JsonError::at(pos, msg)
+    })
+}
+
 impl JsonValue {
     fn synth(kind: JsonKind) -> JsonValue {
         JsonValue {
@@ -216,23 +242,10 @@ impl JsonValue {
     /// # Panics
     ///
     /// Panics on NaN or infinity (see [`format_f64`]); encode infinite
-    /// values with [`JsonValue::num_or_inf`] where the schema allows them.
+    /// values with [`num_or_inf_checked`] where the schema allows them.
     pub fn num(x: f64) -> JsonValue {
         assert!(x.is_finite(), "cannot encode non-finite {x} as JSON number");
         JsonValue::synth(JsonKind::Num(x))
-    }
-
-    /// A float field that may be `+∞`, encoded as the string `"inf"`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on NaN or `-∞` (no schema field admits either).
-    pub fn num_or_inf(x: f64) -> JsonValue {
-        if x == f64::INFINITY {
-            JsonValue::str("inf")
-        } else {
-            JsonValue::num(x)
-        }
     }
 
     /// A synthesized string.
@@ -1064,7 +1077,8 @@ mod tests {
 
     #[test]
     fn inf_string_encoding() {
-        assert_eq!(JsonValue::num_or_inf(f64::INFINITY).to_pretty(), "\"inf\"");
+        let inf = num_or_inf_checked("budget", f64::INFINITY).unwrap();
+        assert_eq!(inf.to_pretty(), "\"inf\"");
         assert_eq!(
             parse("\"inf\"").unwrap().as_f64_or_inf().unwrap(),
             f64::INFINITY

@@ -55,12 +55,14 @@
 //!   bit-identically, and bitwise invariant to compaction on/off;
 //! - [`telemetry`]: pluggable [`telemetry::TelemetrySink`]s (full trace,
 //!   streaming summary-only, CSV) and the shared CSV helpers;
-//! - [`device`]: mobile-device rendering capacity models;
 //! - [`stream`]: AR frame sources feeding per-slot depth profiles;
+//! - [`energy`]: the average-energy-constrained scheduler extension;
 //! - [`experiment`]: the legacy run-to-completion closed loop, now a thin
-//!   bit-identical layer over [`session`];
-//! - [`sweep`], [`distributed`]: parameter sweeps and the multi-device
-//!   fleet, likewise thin layers over session batches.
+//!   bit-identical layer over [`session`].
+//!
+//! Parameter sweeps and multi-device fleets are plain scenarios
+//! ([`Scenario::v_sweep`], [`Scenario::rate_sweep`], [`Scenario::fleet`])
+//! stepped by a [`SessionBatch`].
 //!
 //! ## Example: a heterogeneous session batch
 //!
@@ -256,19 +258,15 @@
 
 pub mod churn;
 pub mod controller;
-pub mod device;
-pub mod distributed;
 pub mod energy;
 pub mod experiment;
 pub mod fault;
 pub mod hash;
 pub mod json;
 pub mod ledger;
-pub mod pipeline;
 pub mod scenario;
 pub mod session;
 pub mod stream;
-pub mod sweep;
 pub mod telemetry;
 pub mod uplink;
 

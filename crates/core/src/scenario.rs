@@ -24,7 +24,6 @@ use crate::controller::{
     AdaptiveDpp, DepthController, FixedDepth, MaxDepth, MinDepth, ProposedDpp, QueueThreshold,
     RandomDepth,
 };
-use crate::distributed::FleetSpec;
 use crate::experiment::{ExperimentConfig, ServiceSpec};
 use crate::json::{self, JsonError, JsonValue};
 use crate::stream::ArStream;
@@ -136,9 +135,13 @@ impl ControllerSpec {
     ///
     /// # Panics
     ///
-    /// Propagates the constructor panics of the underlying policies
-    /// (negative `v`, empty/unsorted thresholds).
+    /// Panics with the [`ControllerSpec::validate`] message on invalid
+    /// parameters.
     pub fn build(&self) -> BuiltController {
+        if let Err(msg) = self.validate() {
+            // arvis-lint: allow(panic-free-codecs, "the documented panicking builder; from_json reports the same message as a positioned error")
+            panic!("{msg}");
+        }
         match self {
             ControllerSpec::Proposed { v } => BuiltController::Proposed(ProposedDpp::new(*v)),
             ControllerSpec::OnlyMax => BuiltController::Max(MaxDepth),
@@ -225,12 +228,33 @@ impl ControllerSpec {
         })
     }
 
-    /// Decodes a spec from its scenario-file form, enforcing the
-    /// controller constructors' invariants (non-negative `v`, positive
-    /// adaptive targets, non-empty strictly-ascending thresholds) as
-    /// errors instead of panics. The `extern` tag is rejected explicitly:
-    /// scenario files can describe every built-in policy, never a
-    /// user-defined one.
+    /// Validates the parameters the policy constructors would reject,
+    /// naming the offending field first (`"v: …"`, `"thresholds: …"`).
+    ///
+    /// # Errors
+    ///
+    /// Errors on a negative `v`, empty or unsorted thresholds, or a
+    /// non-positive adaptive `initial_v` / `target_backlog`.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            ControllerSpec::Proposed { v } if *v < 0.0 => {
+                Err(format!("v: v must be >= 0, got {v}"))
+            }
+            ControllerSpec::Threshold { thresholds } => QueueThreshold::check(thresholds),
+            ControllerSpec::AdaptiveV { initial_v, .. } if *initial_v <= 0.0 => {
+                Err(format!("initial_v: initial V must be > 0, got {initial_v}"))
+            }
+            ControllerSpec::AdaptiveV { target_backlog, .. } if *target_backlog <= 0.0 => Err(
+                format!("target_backlog: target backlog must be > 0, got {target_backlog}"),
+            ),
+            _ => Ok(()),
+        }
+    }
+
+    /// Decodes a spec from its scenario-file form, reporting a
+    /// [`ControllerSpec::validate`] failure as a positioned error. The
+    /// `extern` tag is rejected explicitly: scenario files can describe
+    /// every built-in policy, never a user-defined one.
     ///
     /// # Errors
     ///
@@ -240,17 +264,9 @@ impl ControllerSpec {
         let mut obj = v.as_obj()?;
         let tag = obj.req("type")?;
         let spec = match tag.as_str()? {
-            "proposed" => {
-                let v_node = obj.req("v")?;
-                let v = v_node.as_f64()?;
-                if v < 0.0 {
-                    return Err(JsonError::at(
-                        v_node.pos,
-                        format!("v must be >= 0, got {v}"),
-                    ));
-                }
-                ControllerSpec::Proposed { v }
-            }
+            "proposed" => ControllerSpec::Proposed {
+                v: obj.req("v")?.as_f64()?,
+            },
             "only_max" => ControllerSpec::OnlyMax,
             "only_min" => ControllerSpec::OnlyMin,
             "fixed" => ControllerSpec::Fixed {
@@ -259,46 +275,18 @@ impl ControllerSpec {
             "random" => ControllerSpec::Random {
                 seed: obj.req("seed")?.as_u64()?,
             },
-            "threshold" => {
-                let node = obj.req("thresholds")?;
-                let items = node.as_array()?;
-                if items.is_empty() {
-                    return Err(JsonError::at(node.pos, "need at least one threshold"));
-                }
-                let thresholds = items
+            "threshold" => ControllerSpec::Threshold {
+                thresholds: obj
+                    .req("thresholds")?
+                    .as_array()?
                     .iter()
                     .map(JsonValue::as_f64)
-                    .collect::<Result<Vec<_>, _>>()?;
-                if !thresholds.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(JsonError::at(
-                        node.pos,
-                        "thresholds must be strictly ascending",
-                    ));
-                }
-                ControllerSpec::Threshold { thresholds }
-            }
-            "adaptive_v" => {
-                let v_node = obj.req("initial_v")?;
-                let initial_v = v_node.as_f64()?;
-                if initial_v <= 0.0 {
-                    return Err(JsonError::at(
-                        v_node.pos,
-                        format!("initial V must be > 0, got {initial_v}"),
-                    ));
-                }
-                let t_node = obj.req("target_backlog")?;
-                let target_backlog = t_node.as_f64()?;
-                if target_backlog <= 0.0 {
-                    return Err(JsonError::at(
-                        t_node.pos,
-                        format!("target backlog must be > 0, got {target_backlog}"),
-                    ));
-                }
-                ControllerSpec::AdaptiveV {
-                    initial_v,
-                    target_backlog,
-                }
-            }
+                    .collect::<Result<_, _>>()?,
+            },
+            "adaptive_v" => ControllerSpec::AdaptiveV {
+                initial_v: obj.req("initial_v")?.as_f64()?,
+                target_backlog: obj.req("target_backlog")?.as_f64()?,
+            },
             "extern" => {
                 return Err(JsonError::at(
                     tag.pos,
@@ -317,6 +305,7 @@ impl ControllerSpec {
             }
         };
         obj.finish()?;
+        json::positioned(spec.validate(), &[], v)?;
         Ok(spec)
     }
 }
@@ -631,7 +620,10 @@ impl Scenario {
     /// for this fleet.
     #[must_use]
     pub fn with_fault(mut self, plan: crate::fault::FaultPlan) -> Scenario {
-        plan.validate(self.sessions.len());
+        if let Err(msg) = plan.validate(self.sessions.len()) {
+            // arvis-lint: allow(panic-free-codecs, "the documented panicking builder; from_json reports the same message as a positioned error")
+            panic!("{msg}");
+        }
         self.fault = Some(plan);
         self
     }
@@ -650,45 +642,44 @@ impl Scenario {
     /// the same sessions' liveness).
     #[must_use]
     pub fn with_churn(mut self, churn: crate::churn::ChurnSpec) -> Scenario {
-        churn.validate();
-        // arvis-lint: allow(panic-free-codecs, "the documented panicking builder; from_json routes the same checks into positioned errors")
-        self.check_churn(&churn, &mut |msg| panic!("{msg}"));
+        if let Err(msg) = churn.validate().and_then(|()| self.check_churn(&churn)) {
+            // arvis-lint: allow(panic-free-codecs, "the documented panicking builder; from_json reports the same messages as positioned errors")
+            panic!("{msg}");
+        }
         self.churn = Some(churn);
         self
     }
 
-    /// The scenario-level churn cross-checks shared by
+    /// The scenario-level churn cross-checks run by both
     /// [`Scenario::with_churn`] (panicking) and [`Scenario::from_json`]
     /// (positioned errors): weight/policy pairing and the
     /// lifetime/`session_crash` exclusion.
-    fn check_churn(&self, churn: &crate::churn::ChurnSpec, fail: &mut dyn FnMut(String)) {
+    fn check_churn(&self, churn: &crate::churn::ChurnSpec) -> Result<(), String> {
         let weighted = matches!(
             self.uplink.as_ref().map(|u| &u.policy),
             Some(crate::uplink::UplinkPolicy::WeightedMaxWeight { .. })
         );
-        if churn.arrivals.is_some() {
-            if weighted && churn.weight.is_none() {
-                fail(
-                    "a weighted_max_weight uplink requires a churn weight for joiners".to_string(),
-                );
-            }
-            if !weighted && churn.weight.is_some() {
-                fail("a churn weight requires a weighted_max_weight uplink".to_string());
-            }
+        if churn.arrivals.is_some() && weighted && churn.weight.is_none() {
+            return Err(
+                "a weighted_max_weight uplink requires a churn weight for joiners".to_string(),
+            );
         }
-        if churn.lifetime.is_some()
-            && self.fault.as_ref().is_some_and(|plan| {
-                plan.events
-                    .iter()
-                    .any(|e| matches!(e, crate::fault::FaultEvent::SessionCrash { .. }))
-            })
-        {
-            fail(
+        if churn.arrivals.is_some() && !weighted && churn.weight.is_some() {
+            return Err("a churn weight requires a weighted_max_weight uplink".to_string());
+        }
+        let crashes = self.fault.as_ref().is_some_and(|plan| {
+            plan.events
+                .iter()
+                .any(|e| matches!(e, crate::fault::FaultEvent::SessionCrash { .. }))
+        });
+        if churn.lifetime.is_some() && crashes {
+            return Err(
                 "churn lifetimes cannot be combined with session_crash fault events \
                  (both drive session liveness)"
                     .to_string(),
             );
         }
+        Ok(())
     }
 
     /// A single-session scenario from a legacy config and a policy.
@@ -708,10 +699,11 @@ impl Scenario {
         scenario
     }
 
-    /// The legacy fleet construction: `fleet.devices` sessions running the
+    /// The multi-device fleet: `fleet.devices` sessions running the
     /// proposed scheduler at `base.controller_v`, service rates spread per
-    /// [`FleetSpec`], seeds `child_seed(0xF1EE7, device)` — the exact
-    /// per-device setup `distributed::run_fleet` has always used.
+    /// [`FleetSpec`], seeds `child_seed(0xF1EE7, device)`. No scheduler
+    /// state is shared — the paper's "computed in a distributed manner"
+    /// claim — so each device's run is bitwise its own single-device run.
     ///
     /// # Panics
     ///
@@ -903,15 +895,9 @@ impl Scenario {
         };
         let churn = match churn {
             Some((spec, pos)) => {
-                let mut first: Option<JsonError> = None;
-                scenario.check_churn(&spec, &mut |msg| {
-                    if first.is_none() {
-                        first = Some(JsonError::at(pos, msg));
-                    }
-                });
-                if let Some(err) = first {
-                    return Err(err);
-                }
+                scenario
+                    .check_churn(&spec)
+                    .map_err(|msg| JsonError::at(pos, msg))?;
                 Some(spec)
             }
             None => None,
@@ -977,9 +963,42 @@ impl Scenario {
     }
 }
 
-/// Device `i`'s service rate under a [`FleetSpec`] spread (the legacy
-/// `run_fleet` formula).
-pub(crate) fn fleet_rate(base_rate: f64, fleet: FleetSpec, i: usize) -> f64 {
+/// Heterogeneity of a device fleet ([`Scenario::fleet`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FleetSpec {
+    /// Number of devices.
+    pub devices: usize,
+    /// Relative spread of per-device service rates around the base config's
+    /// rate: device `i` gets `rate × (1 − spread/2 + spread·i/(M−1))`.
+    pub rate_spread: f64,
+}
+
+impl FleetSpec {
+    /// A homogeneous fleet.
+    pub fn homogeneous(devices: usize) -> Self {
+        FleetSpec {
+            devices,
+            rate_spread: 0.0,
+        }
+    }
+
+    /// A heterogeneous fleet with the given relative rate spread (e.g. `0.5`
+    /// spans ±25% around the nominal rate).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `spread` is not in `[0, 2)`.
+    pub fn heterogeneous(devices: usize, spread: f64) -> Self {
+        assert!((0.0..2.0).contains(&spread), "spread must be in [0, 2)");
+        FleetSpec {
+            devices,
+            rate_spread: spread,
+        }
+    }
+}
+
+/// Device `i`'s service rate under a [`FleetSpec`] spread.
+fn fleet_rate(base_rate: f64, fleet: FleetSpec, i: usize) -> f64 {
     if fleet.devices == 1 || fleet.rate_spread == 0.0 {
         base_rate
     } else {
@@ -1109,6 +1128,105 @@ mod tests {
             sigma: 0.1,
         });
         let _ = Scenario::fleet(&base, FleetSpec::homogeneous(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one device")]
+    fn fleet_scenario_rejects_an_empty_fleet() {
+        let _ = Scenario::fleet(&config(), FleetSpec::homogeneous(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "spread")]
+    fn fleet_spec_rejects_bad_spread() {
+        let _ = FleetSpec::heterogeneous(3, 2.5);
+    }
+
+    /// Steps every session of a sweep or fleet scenario to the horizon.
+    fn run(scenario: &Scenario) -> Vec<crate::experiment::ExperimentResult> {
+        let mut batch = crate::session::SessionBatch::full_trace(scenario);
+        batch.run();
+        batch.into_results()
+    }
+
+    /// `(mean_quality, mean_backlog, stable)` per run, for failure messages.
+    fn summary(runs: &[crate::experiment::ExperimentResult]) -> Vec<(f64, f64, bool)> {
+        runs.iter()
+            .map(|r| (r.mean_quality, r.mean_backlog, r.stable))
+            .collect()
+    }
+
+    /// The sweep and fleet tests' base: 2000 B/slot at V = 1e7.
+    fn dpp_config(slots: u64) -> ExperimentConfig {
+        ExperimentConfig::new(profile(), 2_000.0, slots).with_controller_v(1e7)
+    }
+
+    #[test]
+    fn homogeneous_fleet_is_uniform_stable_and_the_single_device_run() {
+        use crate::controller::ProposedDpp;
+        use crate::experiment::Experiment;
+        let base = dpp_config(600);
+        let solo = Experiment::new(base.clone().with_seed(child_seed(0xF1EE7, 0)))
+            .run(&mut ProposedDpp::new(base.controller_v));
+        let fleet = run(&Scenario::fleet(&base, FleetSpec::homogeneous(4)));
+        assert_eq!(fleet.len(), 4);
+        // Deterministic controller and service: every device of a
+        // homogeneous fleet is the single-device run, whatever its seed.
+        for (i, device) in fleet.iter().enumerate() {
+            assert!(device.stable, "device {i} unstable");
+            assert_eq!(device.backlog, solo.backlog);
+            assert_eq!(device.mean_quality.to_bits(), solo.mean_quality.to_bits());
+        }
+    }
+
+    #[test]
+    fn heterogeneous_fleet_faster_devices_get_more_quality() {
+        let results = run(&Scenario::fleet(
+            &dpp_config(600),
+            FleetSpec::heterogeneous(5, 1.0),
+        ));
+        // Quality-vs-rate is non-monotone pointwise (the controller
+        // time-shares a coarse discrete depth set), but the ordering must
+        // hold between the extremes of a 1.0 spread.
+        assert!(results[4].mean_quality > results[0].mean_quality);
+        // Every device independently stable — the distributed claim.
+        assert!(results.iter().all(|r| r.stable));
+    }
+
+    #[test]
+    fn v_sweep_shows_quality_delay_tradeoff() {
+        let base = ExperimentConfig::new(profile(), 2_000.0, 1_000);
+        let points = run(&Scenario::v_sweep(&base, &[1e4, 1e5, 1e6, 1e7, 1e8]));
+        assert_eq!(points.len(), 5);
+        // Quality non-decreasing in V; backlog non-decreasing in V.
+        for w in points.windows(2) {
+            assert!(
+                w[1].mean_quality >= w[0].mean_quality - 1e-9,
+                "quality must grow with V: {:?}",
+                summary(&points)
+            );
+            assert!(
+                w[1].mean_backlog >= w[0].mean_backlog - 1e-9,
+                "backlog must grow with V: {:?}",
+                summary(&points)
+            );
+        }
+    }
+
+    #[test]
+    fn rate_sweep_quality_grows_with_capacity() {
+        let rates = [500.0, 2_000.0, 8_000.0, 32_000.0];
+        let points = run(&Scenario::rate_sweep(&dpp_config(1_000), &rates));
+        assert_eq!(points.len(), 4);
+        for w in points.windows(2) {
+            assert!(
+                w[1].mean_quality >= w[0].mean_quality - 1e-9,
+                "more capacity, more quality: {:?}",
+                summary(&points)
+            );
+        }
+        // All runs remain stable (DPP adapts to the rate).
+        assert!(points.iter().all(|p| p.stable), "{:?}", summary(&points));
     }
 
     #[test]

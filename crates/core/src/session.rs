@@ -1338,29 +1338,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_trace_matches_to_csv_and_labels_real_slots() {
-        let cfg = config(2_000.0, 30);
-        let spec = SessionSpec::from_config(&cfg, ControllerSpec::Proposed { v: 1e7 });
-
-        // Full run: the streaming CSV must equal the retained-trace CSV.
-        let mut csv_sink = crate::telemetry::CsvTrace::new();
-        Session::new(spec.clone(), cfg.slots).run(&mut csv_sink);
-        let result = Session::new(spec.clone(), cfg.slots).run_to_result();
-        assert_eq!(csv_sink.csv(), result.to_csv());
-
-        // Attached mid-run: rows are labelled with the simulated slot.
-        let mut session = Session::new(spec, cfg.slots);
-        let mut warmup_sink = NullSink;
-        for _ in 0..5 {
-            session.step(&mut warmup_sink);
-        }
-        let mut late = crate::telemetry::CsvTrace::new();
-        session.step(&mut late);
-        let first_row = late.csv().lines().nth(1).expect("one data row");
-        assert!(first_row.starts_with("5,"), "got {first_row}");
-    }
-
-    #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn batch_rejects_zero_chunk() {
         let cfg = config(2_000.0, 10);

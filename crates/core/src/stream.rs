@@ -51,12 +51,7 @@ impl ArStream {
     /// Panics when `profiles` is empty or the frames disagree on the depth
     /// range.
     pub fn cycle(profiles: Vec<DepthProfile>) -> ArStream {
-        assert!(!profiles.is_empty(), "need at least one frame profile");
-        let r = profiles[0].depths();
-        assert!(
-            profiles.iter().all(|p| p.depths() == r),
-            "all frame profiles must share the same depth range"
-        );
+        check_cycle(&profiles).unwrap_or_else(|msg| panic!("{msg}"));
         ArStream {
             kind: StreamKind::Cycle(profiles),
         }
@@ -70,11 +65,7 @@ impl ArStream {
     ///
     /// Panics when `amplitude ∉ [0, 1)` or `period_slots <= 0`.
     pub fn modulated(base: DepthProfile, amplitude: f64, period_slots: f64) -> ArStream {
-        assert!(
-            (0.0..1.0).contains(&amplitude),
-            "amplitude must be in [0, 1)"
-        );
-        assert!(period_slots > 0.0, "period must be positive");
+        check_modulated(amplitude, period_slots).unwrap_or_else(|msg| panic!("{msg}"));
         ArStream {
             kind: StreamKind::Modulated {
                 base,
@@ -207,10 +198,9 @@ impl ArStream {
         })
     }
 
-    /// Decodes a stream from its scenario-file form, enforcing every
-    /// constructor invariant as an error (never a panic): non-empty
-    /// cycles with matching depth ranges, `amplitude ∈ [0, 1)`,
-    /// `period_slots > 0`.
+    /// Decodes a stream from its scenario-file form, reporting a
+    /// [`ArStream::cycle`] / [`ArStream::modulated`] invariant failure as a
+    /// positioned error (never a panic).
     ///
     /// # Errors
     ///
@@ -222,42 +212,24 @@ impl ArStream {
         let stream = match tag.as_str()? {
             "constant" => ArStream::constant(profile_from_json(obj.req("profile")?)?),
             "cycle" => {
-                let node = obj.req("profiles")?;
-                let items = node.as_array()?;
-                if items.is_empty() {
-                    return Err(JsonError::at(node.pos, "need at least one frame profile"));
-                }
+                let items = obj.req("profiles")?.as_array()?;
                 let profiles = items
                     .iter()
                     .map(profile_from_json)
                     .collect::<Result<Vec<_>, _>>()?;
-                let r = profiles[0].depths();
-                if let Some(i) = profiles.iter().position(|p| p.depths() != r) {
-                    return Err(JsonError::at(
-                        items[i].pos,
-                        "all frame profiles must share the same depth range",
-                    ));
-                }
+                let positions: Vec<_> = items
+                    .iter()
+                    .enumerate()
+                    .map(|(i, item)| (format!("profile {i}"), item.pos))
+                    .collect();
+                json::positioned(check_cycle(&profiles), &positions, v)?;
                 ArStream::cycle(profiles)
             }
             "modulated" => {
                 let base = profile_from_json(obj.req("base")?)?;
-                let amplitude_node = obj.req("amplitude")?;
-                let amplitude = amplitude_node.as_f64()?;
-                if !(0.0..1.0).contains(&amplitude) {
-                    return Err(JsonError::at(
-                        amplitude_node.pos,
-                        format!("amplitude must be in [0, 1), got {amplitude}"),
-                    ));
-                }
-                let period_node = obj.req("period_slots")?;
-                let period_slots = period_node.as_f64()?;
-                if period_slots <= 0.0 {
-                    return Err(JsonError::at(
-                        period_node.pos,
-                        format!("period_slots must be positive, got {period_slots}"),
-                    ));
-                }
+                let amplitude = obj.req("amplitude")?.as_f64()?;
+                let period_slots = obj.req("period_slots")?.as_f64()?;
+                json::positioned(check_modulated(amplitude, period_slots), &[], v)?;
                 ArStream::modulated(base, amplitude, period_slots)
             }
             other => {
@@ -298,6 +270,36 @@ fn profile_to_json(p: &DepthProfile) -> Result<JsonValue, JsonError> {
             ),
         ),
     ]))
+}
+
+/// The [`ArStream::cycle`] invariants, naming the offending member first
+/// (`"profiles: …"`, `"profile 3: …"`).
+fn check_cycle(profiles: &[DepthProfile]) -> Result<(), String> {
+    let Some(first) = profiles.first() else {
+        return Err("profiles: need at least one frame profile".to_string());
+    };
+    match profiles.iter().position(|p| p.depths() != first.depths()) {
+        Some(i) => Err(format!(
+            "profile {i}: all frame profiles must share the same depth range"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The [`ArStream::modulated`] invariants, naming the offending field
+/// first.
+fn check_modulated(amplitude: f64, period_slots: f64) -> Result<(), String> {
+    if !(0.0..1.0).contains(&amplitude) {
+        return Err(format!(
+            "amplitude: amplitude must be in [0, 1), got {amplitude}"
+        ));
+    }
+    if period_slots.is_nan() || period_slots <= 0.0 {
+        return Err(format!(
+            "period_slots: period_slots must be positive, got {period_slots}"
+        ));
+    }
+    Ok(())
 }
 
 /// Decodes a depth profile, turning every `DepthProfile::from_parts` panic
@@ -402,6 +404,49 @@ mod tests {
     #[should_panic(expected = "amplitude")]
     fn modulated_rejects_full_amplitude() {
         let _ = ArStream::modulated(profile(1.0), 1.0, 10.0);
+    }
+
+    /// Decodes `members` as a stream and asserts a positioned error with
+    /// the very message the constructor panics with.
+    fn assert_one_message(members: Vec<(&str, JsonValue)>, build: impl FnOnce() -> ArStream) {
+        let text = JsonValue::obj(members).to_pretty();
+        let err = ArStream::from_json(&json::parse(&text).unwrap()).unwrap_err();
+        assert!(
+            err.pos.is_some_and(|pos| pos.line > 0),
+            "unpositioned: {err}"
+        );
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)).unwrap_err();
+        assert_eq!(Some(&err.msg), payload.downcast_ref::<String>());
+    }
+
+    #[test]
+    fn decoder_and_constructors_report_one_message() {
+        let other = DepthProfile::from_parts(4, vec![1.0, 2.0], vec![0.0, 1.0]);
+        let cycle = |profiles: &[&DepthProfile]| {
+            let items = profiles.iter().map(|p| profile_to_json(p).unwrap());
+            vec![
+                ("type", JsonValue::str("cycle")),
+                ("profiles", JsonValue::arr(items.collect())),
+            ]
+        };
+        let modulated = |amplitude, period_slots| {
+            vec![
+                ("type", JsonValue::str("modulated")),
+                ("base", profile_to_json(&profile(1.0)).unwrap()),
+                ("amplitude", JsonValue::num(amplitude)),
+                ("period_slots", JsonValue::num(period_slots)),
+            ]
+        };
+        assert_one_message(cycle(&[]), || ArStream::cycle(Vec::new()));
+        assert_one_message(cycle(&[&profile(1.0), &other]), || {
+            ArStream::cycle(vec![profile(1.0), other.clone()])
+        });
+        assert_one_message(modulated(1.0, 10.0), || {
+            ArStream::modulated(profile(1.0), 1.0, 10.0)
+        });
+        assert_one_message(modulated(0.5, 0.0), || {
+            ArStream::modulated(profile(1.0), 0.5, 0.0)
+        });
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //!   session, which is what makes a [`crate::session::SessionBatch`] of
 //!   millions of sessions O(sessions) instead of O(sessions × slots).
 //!   Percentiles come from [`P2Quantile`] streaming estimators;
-//! - [`CsvTrace`] streams rows of the trace CSV as they happen;
 //! - [`NullSink`] records nothing (throughput measurements).
 //!
 //! The module also owns the one CSV escaping/formatting helper
@@ -82,8 +81,7 @@ impl CsvRow {
     /// Appends a field verbatim, skipping the escaping scan — for numbers
     /// and bools, whose `Display` output can never contain a CSV
     /// metacharacter. Unlike [`CsvRow::field`] this writes straight into
-    /// the row buffer with no intermediate allocation (it is the per-slot
-    /// path of the streaming [`CsvTrace`] sink).
+    /// the row buffer with no intermediate allocation.
     #[must_use]
     pub fn raw(mut self, value: impl std::fmt::Display) -> CsvRow {
         use std::fmt::Write as _;
@@ -265,61 +263,6 @@ impl TelemetrySink for FullTrace {
 
     fn on_frame(&mut self, frame: &FrameLatency) {
         self.frame_latencies.push(frame.latency_slots as f64);
-    }
-}
-
-/// Streams the trace CSV row by row (same layout as
-/// [`ExperimentResult::to_csv`]) without retaining the series. Rows are
-/// labelled with the simulated slot index, so a trace attached mid-run
-/// starts at the slot it first observed.
-#[derive(Debug, Clone)]
-pub struct CsvTrace {
-    buf: String,
-}
-
-impl CsvTrace {
-    /// A trace writer with the legacy trace header.
-    pub fn new() -> CsvTrace {
-        let header = CsvRow::new()
-            .field("slot")
-            .field("queue_backlog")
-            .field("control_action_depth")
-            .field("quality")
-            .field("arrivals")
-            .field("service")
-            .finish();
-        CsvTrace { buf: header + "\n" }
-    }
-
-    /// The CSV accumulated so far (header plus one row per recorded slot).
-    pub fn csv(&self) -> &str {
-        &self.buf
-    }
-
-    /// Consumes the sink, returning the CSV.
-    pub fn into_csv(self) -> String {
-        self.buf
-    }
-}
-
-impl Default for CsvTrace {
-    fn default() -> Self {
-        CsvTrace::new()
-    }
-}
-
-impl TelemetrySink for CsvTrace {
-    fn on_slot(&mut self, o: &SlotOutcome) {
-        let row = CsvRow::new()
-            .raw(o.slot)
-            .raw(o.backlog)
-            .raw(f64::from(o.depth))
-            .raw(o.quality)
-            .raw(o.arrival)
-            .raw(o.service)
-            .finish();
-        self.buf.push_str(&row);
-        self.buf.push('\n');
     }
 }
 

@@ -239,110 +239,50 @@ impl BudgetProfile {
         })
     }
 
-    /// Decodes a profile from its scenario-file form, enforcing every
-    /// [`BudgetProfile::validate`] condition as an error instead of a
-    /// panic — including the empty-`Trace` case, whose pinned behavior is
-    /// rejection at spec-validation time (a trace with no entries has no
-    /// slot-0 budget to evaluate).
+    /// Decodes a profile from its scenario-file form, running
+    /// [`BudgetProfile::validate`] and positioning its first violation at
+    /// the offending member — including the empty-`Trace` case, whose
+    /// pinned behavior is rejection at spec-validation time (a trace with
+    /// no entries has no slot-0 budget to evaluate).
     ///
     /// # Errors
     ///
     /// Errors (with the offending position) on unknown `"type"` tags,
-    /// unknown or missing keys, wrong types, negative/NaN budgets,
-    /// `amplitude > mean`, zero periods, unsorted or slot-0-less step
-    /// schedules, and empty traces.
+    /// unknown or missing keys, wrong types, and every violation
+    /// [`BudgetProfile::validate`] reports.
     pub fn from_json(v: &JsonValue) -> Result<BudgetProfile, JsonError> {
-        let budget_value = |node: &JsonValue| {
-            let b = node.as_f64_or_inf()?;
-            if b < 0.0 {
-                return Err(JsonError::at(node.pos, format!("bad budget {b}")));
-            }
-            Ok(b)
-        };
         let mut obj = v.as_obj()?;
+        let mut positions = Vec::new();
         let tag = obj.req("type")?;
         let profile = match tag.as_str()? {
-            "constant" => BudgetProfile::Constant(budget_value(obj.req("budget")?)?),
-            "diurnal" => {
-                let mean_node = obj.req("mean")?;
-                let mean = mean_node.as_f64()?;
-                if mean < 0.0 {
-                    return Err(JsonError::at(
-                        mean_node.pos,
-                        format!("bad diurnal mean {mean}"),
-                    ));
-                }
-                let amplitude_node = obj.req("amplitude")?;
-                let amplitude = amplitude_node.as_f64()?;
-                if !(0.0..=mean).contains(&amplitude) {
-                    return Err(JsonError::at(
-                        amplitude_node.pos,
-                        format!("diurnal amplitude must be in [0, mean], got {amplitude}"),
-                    ));
-                }
-                let period_node = obj.req("period")?;
-                let period = period_node.as_u64()?;
-                if period == 0 {
-                    return Err(JsonError::at(
-                        period_node.pos,
-                        "diurnal period must be positive",
-                    ));
-                }
-                let phase = obj.req("phase")?.as_f64()?;
-                BudgetProfile::Diurnal {
-                    mean,
-                    amplitude,
-                    period,
-                    phase,
-                }
-            }
+            "constant" => BudgetProfile::Constant(obj.req("budget")?.as_f64_or_inf()?),
+            "diurnal" => BudgetProfile::Diurnal {
+                mean: obj.req("mean")?.as_f64()?,
+                amplitude: obj.req("amplitude")?.as_f64()?,
+                period: obj.req("period")?.as_u64()?,
+                phase: obj.req("phase")?.as_f64()?,
+            },
             "piecewise_steps" => {
-                let steps_node = obj.req("steps")?;
-                let items = steps_node.as_array()?;
-                if items.is_empty() {
-                    return Err(JsonError::at(
-                        steps_node.pos,
-                        "need at least one budget step",
-                    ));
-                }
-                let mut steps: Vec<BudgetStep> = Vec::with_capacity(items.len());
+                let items = obj.req("steps")?.as_array()?;
+                let mut steps = Vec::with_capacity(items.len());
                 for (i, item) in items.iter().enumerate() {
+                    positions.push((format!("step {i}"), item.pos));
                     let mut step = item.as_obj()?;
-                    let start_node = step.req("start")?;
-                    let start = start_node.as_u64()?;
-                    if i == 0 && start != 0 {
-                        return Err(JsonError::at(
-                            start_node.pos,
-                            "first budget step must start at slot 0",
-                        ));
-                    }
-                    if i > 0 && start <= steps[i - 1].start {
-                        return Err(JsonError::at(
-                            start_node.pos,
-                            "budget steps must have strictly ascending starts",
-                        ));
-                    }
-                    let budget = budget_value(step.req("budget")?)?;
+                    let start = step.req("start")?.as_u64()?;
+                    let budget = step.req("budget")?.as_f64_or_inf()?;
                     step.finish()?;
                     steps.push(BudgetStep { start, budget });
                 }
                 BudgetProfile::PiecewiseSteps(steps)
             }
             "trace" => {
-                let budgets_node = obj.req("budgets")?;
-                let items = budgets_node.as_array()?;
-                if items.is_empty() {
-                    return Err(JsonError::at(
-                        budgets_node.pos,
-                        "need at least one traced budget",
-                    ));
+                let items = obj.req("budgets")?.as_array()?;
+                let mut budgets = Vec::with_capacity(items.len());
+                for (i, item) in items.iter().enumerate() {
+                    positions.push((format!("budget {i}"), item.pos));
+                    budgets.push(item.as_f64_or_inf()?);
                 }
-                BudgetProfile::Trace(
-                    items
-                        .iter()
-                        .map(budget_value)
-                        .collect::<Result<Vec<_>, _>>()?,
-                )
+                BudgetProfile::Trace(budgets)
             }
             other => {
                 return Err(JsonError::at(
@@ -355,47 +295,75 @@ impl BudgetProfile {
             }
         };
         obj.finish()?;
+        json::positioned(profile.validate(), &positions, v)?;
         Ok(profile)
     }
 
-    /// Validates the profile's parameters.
+    /// Validates the profile's parameters, naming the offending member
+    /// first (`"amplitude: …"`, `"step 2: …"`, `"budget 0: …"`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when any budget value is NaN or negative, a `Diurnal` swing
+    /// Errors when any budget value is NaN or negative, a `Diurnal` swing
     /// can go negative (`amplitude > mean`) or its `period` is zero, a
     /// `PiecewiseSteps` schedule is empty / unsorted / does not start at
     /// slot 0, or a `Trace` is empty.
-    pub fn validate(&self) {
-        let check = |b: f64| assert!(!b.is_nan() && b >= 0.0, "bad budget {b}");
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |at: &str, b: f64| {
+            if b.is_nan() || b < 0.0 {
+                return Err(format!("{at}: bad budget {b}"));
+            }
+            Ok(())
+        };
         match self {
-            BudgetProfile::Constant(b) => check(*b),
+            BudgetProfile::Constant(b) => check("budget", *b),
             BudgetProfile::Diurnal {
                 mean,
                 amplitude,
                 period,
                 phase,
             } => {
-                assert!(mean.is_finite() && *mean >= 0.0, "bad diurnal mean {mean}");
-                assert!(
-                    amplitude.is_finite() && *amplitude >= 0.0 && amplitude <= mean,
-                    "diurnal amplitude must be in [0, mean], got {amplitude}"
-                );
-                assert!(*period > 0, "diurnal period must be positive");
-                assert!(phase.is_finite(), "bad diurnal phase {phase}");
+                if !(mean.is_finite() && *mean >= 0.0) {
+                    return Err(format!("mean: bad diurnal mean {mean}"));
+                }
+                if !(amplitude.is_finite() && *amplitude >= 0.0 && amplitude <= mean) {
+                    return Err(format!(
+                        "amplitude: diurnal amplitude must be in [0, mean], got {amplitude}"
+                    ));
+                }
+                if *period == 0 {
+                    return Err("period: diurnal period must be positive".to_string());
+                }
+                if !phase.is_finite() {
+                    return Err(format!("phase: bad diurnal phase {phase}"));
+                }
+                Ok(())
             }
             BudgetProfile::PiecewiseSteps(steps) => {
-                assert!(!steps.is_empty(), "need at least one budget step");
-                assert_eq!(steps[0].start, 0, "first budget step must start at slot 0");
-                assert!(
-                    steps.windows(2).all(|w| w[0].start < w[1].start),
-                    "budget steps must have strictly ascending starts"
-                );
-                steps.iter().for_each(|s| check(s.budget));
+                if steps.is_empty() {
+                    return Err("steps: need at least one budget step".to_string());
+                }
+                for (i, step) in steps.iter().enumerate() {
+                    if i == 0 && step.start != 0 {
+                        return Err("step 0: first budget step must start at slot 0".to_string());
+                    }
+                    if i > 0 && step.start <= steps[i - 1].start {
+                        return Err(format!(
+                            "step {i}: budget steps must have strictly ascending starts"
+                        ));
+                    }
+                    check(&format!("step {i}"), step.budget)?;
+                }
+                Ok(())
             }
             BudgetProfile::Trace(budgets) => {
-                assert!(!budgets.is_empty(), "need at least one traced budget");
-                budgets.iter().copied().for_each(check);
+                if budgets.is_empty() {
+                    return Err("budgets: need at least one traced budget".to_string());
+                }
+                for (i, &b) in budgets.iter().enumerate() {
+                    check(&format!("budget {i}"), b)?;
+                }
+                Ok(())
             }
         }
     }
@@ -505,54 +473,36 @@ impl UplinkPolicy {
         })
     }
 
-    /// Decodes a policy from its scenario-file form, enforcing every
-    /// [`UplinkPolicy::validate`] condition as an error instead of a
-    /// panic (positive finite weights, `α ≥ 1`). The weight-count ↔
-    /// session-count match is checked at the scenario level, where both
-    /// are known.
+    /// Decodes a policy from its scenario-file form, running
+    /// [`UplinkPolicy::validate`] and positioning its first violation at
+    /// the offending member. The weight-count ↔ session-count match is
+    /// checked at the scenario level, where both are known.
     ///
     /// # Errors
     ///
     /// Errors (with the offending position) on unknown `"type"` tags,
-    /// unknown or missing keys, wrong types, empty/non-positive/non-finite
-    /// weight vectors, and `α < 1`.
+    /// unknown or missing keys, wrong types, and every violation
+    /// [`UplinkPolicy::validate`] reports.
     pub fn from_json(v: &JsonValue) -> Result<UplinkPolicy, JsonError> {
         let mut obj = v.as_obj()?;
+        let mut positions = Vec::new();
         let tag = obj.req("type")?;
         let policy = match tag.as_str()? {
             "unconstrained" => UplinkPolicy::Unconstrained,
             "proportional_share" => UplinkPolicy::ProportionalShare,
             "max_weight_backlog" => UplinkPolicy::MaxWeightBacklog,
             "weighted_max_weight" => {
-                let weights_node = obj.req("weights")?;
-                let items = weights_node.as_array()?;
-                if items.is_empty() {
-                    return Err(JsonError::at(weights_node.pos, "need at least one weight"));
-                }
+                let items = obj.req("weights")?.as_array()?;
                 let mut weights = Vec::with_capacity(items.len());
-                for item in items {
-                    let w = item.as_f64()?;
-                    if w <= 0.0 {
-                        return Err(JsonError::at(
-                            item.pos,
-                            format!("bad max-weight weight {w} (must be finite and positive)"),
-                        ));
-                    }
-                    weights.push(w);
+                for (i, item) in items.iter().enumerate() {
+                    positions.push((format!("weight {i}"), item.pos));
+                    weights.push(item.as_f64()?);
                 }
                 UplinkPolicy::WeightedMaxWeight { weights }
             }
-            "alpha_fair" => {
-                let alpha_node = obj.req("alpha")?;
-                let alpha = alpha_node.as_f64_or_inf()?;
-                if alpha < 1.0 {
-                    return Err(JsonError::at(
-                        alpha_node.pos,
-                        format!("alpha must be >= 1 (inf = max-min), got {alpha}"),
-                    ));
-                }
-                UplinkPolicy::AlphaFair { alpha }
-            }
+            "alpha_fair" => UplinkPolicy::AlphaFair {
+                alpha: obj.req("alpha")?.as_f64_or_inf()?,
+            },
             other => {
                 return Err(JsonError::at(
                     tag.pos,
@@ -565,32 +515,38 @@ impl UplinkPolicy {
             }
         };
         obj.finish()?;
+        json::positioned(policy.validate(), &positions, v)?;
         Ok(policy)
     }
 
     /// Validates the policy's own parameters (session-count-independent
     /// checks; weight-length mismatches surface in
-    /// [`UplinkPolicy::allocate`]).
+    /// [`UplinkPolicy::allocate`]), naming the offending member first.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when a `WeightedMaxWeight` weight is non-finite or
-    /// non-positive, or an `AlphaFair` exponent is NaN or below 1.
-    pub fn validate(&self) {
+    /// Errors when a `WeightedMaxWeight` weight vector is empty or holds a
+    /// non-finite or non-positive weight, or an `AlphaFair` exponent is
+    /// NaN or below 1.
+    pub fn validate(&self) -> Result<(), String> {
         match self {
             UplinkPolicy::WeightedMaxWeight { weights } => {
-                assert!(!weights.is_empty(), "need at least one weight");
-                for &w in weights {
-                    assert!(w.is_finite() && w > 0.0, "bad max-weight weight {w}");
+                if weights.is_empty() {
+                    return Err("weights: need at least one weight".to_string());
                 }
+                for (i, &w) in weights.iter().enumerate() {
+                    if !(w.is_finite() && w > 0.0) {
+                        return Err(format!(
+                            "weight {i}: bad max-weight weight {w} (must be finite and positive)"
+                        ));
+                    }
+                }
+                Ok(())
             }
-            UplinkPolicy::AlphaFair { alpha } => {
-                assert!(
-                    !alpha.is_nan() && *alpha >= 1.0,
-                    "alpha must be >= 1 (inf = max-min), got {alpha}"
-                );
-            }
-            _ => {}
+            UplinkPolicy::AlphaFair { alpha } if alpha.is_nan() || *alpha < 1.0 => Err(format!(
+                "alpha: alpha must be >= 1 (inf = max-min), got {alpha}"
+            )),
+            _ => Ok(()),
         }
     }
 
@@ -624,7 +580,7 @@ impl UplinkPolicy {
     /// policy parameters. With debug assertions on, also panics on
     /// non-finite or negative backlogs/demands.
     pub fn allocate(&self, budget: f64, backlogs: &[f64], demands: &[f64], grants: &mut Vec<f64>) {
-        self.validate();
+        self.validate().unwrap_or_else(|msg| panic!("{msg}"));
         let mut scratch = AllocScratch::default();
         let total = invariant_sum(demands.iter().copied(), &mut scratch.sums);
         self.allocate_with(budget, backlogs, demands, total, grants, &mut scratch);
@@ -842,8 +798,10 @@ impl UplinkSpec {
     /// Panics when [`BudgetProfile::validate`] or
     /// [`UplinkPolicy::validate`] rejects the parameters.
     pub fn with_profile(budget: BudgetProfile, policy: UplinkPolicy) -> UplinkSpec {
-        budget.validate();
-        policy.validate();
+        budget
+            .validate()
+            .and_then(|()| policy.validate())
+            .unwrap_or_else(|msg| panic!("{msg}"));
         UplinkSpec { budget, policy }
     }
 
@@ -947,10 +905,8 @@ impl UplinkVAdaptSpec {
         ]))
     }
 
-    /// Decodes the knob from its scenario-file form, enforcing the
-    /// [`UplinkVAdaptSpec::build`] / `GrantRatioV` constructor invariants
-    /// (`0 < low ≤ high ≤ 1`, `step ∈ (0, 1)`, `min_v_scale ∈ (0, 1]`) as
-    /// errors instead of panics.
+    /// Decodes the knob from its scenario-file form, reporting a
+    /// [`UplinkVAdaptSpec::validate`] failure as a positioned error.
     ///
     /// # Errors
     ///
@@ -958,39 +914,45 @@ impl UplinkVAdaptSpec {
     /// wrong types, and out-of-range parameters.
     pub fn from_json(v: &JsonValue) -> Result<UplinkVAdaptSpec, JsonError> {
         let mut obj = v.as_obj()?;
-        let low_node = obj.req("low")?;
-        let low = low_node.as_f64()?;
-        let high_node = obj.req("high")?;
-        let high = high_node.as_f64()?;
-        if !(low > 0.0 && low <= high && high <= 1.0) {
-            return Err(JsonError::at(
-                low_node.pos,
-                format!("need 0 < low <= high <= 1, got [{low}, {high}]"),
-            ));
-        }
-        let step_node = obj.req("step")?;
-        let step = step_node.as_f64()?;
-        if !(step > 0.0 && step < 1.0) {
-            return Err(JsonError::at(
-                step_node.pos,
-                format!("step must be in (0, 1), got {step}"),
-            ));
-        }
-        let scale_node = obj.req("min_v_scale")?;
-        let min_v_scale = scale_node.as_f64()?;
-        if !(min_v_scale > 0.0 && min_v_scale <= 1.0) {
-            return Err(JsonError::at(
-                scale_node.pos,
-                format!("min_v_scale must be in (0, 1], got {min_v_scale}"),
-            ));
-        }
+        let spec = UplinkVAdaptSpec {
+            low: obj.req("low")?.as_f64()?,
+            high: obj.req("high")?.as_f64()?,
+            step: obj.req("step")?.as_f64()?,
+            min_v_scale: obj.req("min_v_scale")?.as_f64()?,
+        };
         obj.finish()?;
-        Ok(UplinkVAdaptSpec {
+        json::positioned(spec.validate(), &[], v)?;
+        Ok(spec)
+    }
+
+    /// Validates the [`GrantRatioV`] constructor invariants
+    /// (`0 < low ≤ high ≤ 1`, `step ∈ (0, 1)`, `min_v_scale ∈ (0, 1]`),
+    /// naming the offending field first (`"step: …"`).
+    ///
+    /// # Errors
+    ///
+    /// Errors on the first field outside its range.
+    pub fn validate(&self) -> Result<(), String> {
+        let UplinkVAdaptSpec {
             low,
             high,
             step,
             min_v_scale,
-        })
+        } = *self;
+        if !(low > 0.0 && low <= high && high <= 1.0) {
+            return Err(format!(
+                "low: need 0 < low <= high <= 1, got [{low}, {high}]"
+            ));
+        }
+        if !(step > 0.0 && step < 1.0) {
+            return Err(format!("step: step must be in (0, 1), got {step}"));
+        }
+        if !(min_v_scale > 0.0 && min_v_scale <= 1.0) {
+            return Err(format!(
+                "min_v_scale: min_v_scale must be in (0, 1], got {min_v_scale}"
+            ));
+        }
+        Ok(())
     }
 
     /// Builds the runnable adapter state around a controller's starting
@@ -998,14 +960,10 @@ impl UplinkVAdaptSpec {
     ///
     /// # Panics
     ///
-    /// Propagates the [`GrantRatioV`] constructor panics (bad band, step
-    /// outside `(0, 1)`, non-positive scales).
+    /// Panics with the [`UplinkVAdaptSpec::validate`] message when a field
+    /// is out of range.
     pub fn build(&self, base_v: f64) -> GrantRatioV {
-        assert!(
-            self.min_v_scale > 0.0 && self.min_v_scale <= 1.0,
-            "min_v_scale must be in (0, 1], got {}",
-            self.min_v_scale
-        );
+        self.validate().unwrap_or_else(|msg| panic!("{msg}"));
         GrantRatioV::new(base_v, self.low, self.high, self.step)
             .with_bounds(base_v * self.min_v_scale, base_v)
     }
@@ -1131,8 +1089,7 @@ impl SharedUplink {
     /// Panics when the spec's budget profile or policy parameters are
     /// invalid (see [`UplinkSpec::with_profile`]).
     pub fn new(spec: UplinkSpec) -> SharedUplink {
-        spec.budget.validate();
-        spec.policy.validate();
+        let spec = UplinkSpec::with_profile(spec.budget, spec.policy);
         SharedUplink {
             spec,
             backlogs: Vec::new(),
@@ -1697,7 +1654,7 @@ mod tests {
             period: 40,
             phase: 0.0,
         };
-        diurnal.validate();
+        assert_eq!(diurnal.validate(), Ok(()));
         assert!((diurnal.budget_at(0) - 100.0).abs() < 1e-9);
         assert!((diurnal.budget_at(10) - 150.0).abs() < 1e-9, "quarter peak");
         assert!((diurnal.budget_at(30) - 50.0).abs() < 1e-9, "trough");
@@ -1719,7 +1676,7 @@ mod tests {
                 budget: 7.0,
             },
         ]);
-        steps.validate();
+        assert_eq!(steps.validate(), Ok(()));
         assert_eq!(steps.budget_at(0), 10.0);
         assert_eq!(steps.budget_at(4), 10.0);
         assert_eq!(steps.budget_at(5), 2.0);
@@ -1728,22 +1685,23 @@ mod tests {
         assert_eq!(steps.budget_at(1_000), 7.0);
 
         let trace = BudgetProfile::Trace(vec![3.0, 1.0, 4.0]);
-        trace.validate();
+        assert_eq!(trace.validate(), Ok(()));
         assert_eq!(trace.budget_at(0), 3.0);
         assert_eq!(trace.budget_at(2), 4.0);
         assert_eq!(trace.budget_at(99), 4.0, "past the end holds the last");
     }
 
     #[test]
-    #[should_panic(expected = "amplitude")]
     fn diurnal_rejects_negative_trough() {
-        BudgetProfile::Diurnal {
+        let err = BudgetProfile::Diurnal {
             mean: 10.0,
             amplitude: 11.0,
             period: 5,
             phase: 0.0,
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.starts_with("amplitude:"), "{err}");
     }
 
     #[test]
@@ -1760,13 +1718,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "start at slot 0")]
     fn piecewise_steps_must_cover_slot_zero() {
-        BudgetProfile::PiecewiseSteps(vec![BudgetStep {
+        let err = BudgetProfile::PiecewiseSteps(vec![BudgetStep {
             start: 3,
             budget: 1.0,
         }])
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("start at slot 0"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::rng::{child_seed, poisson, seeded};
+use crate::rng::{poisson, seeded};
 
 /// A per-slot arrival process producing a non-negative amount of work.
 pub trait ArrivalProcess {
@@ -220,14 +220,6 @@ impl ArrivalProcess for TraceArrivals {
     }
 }
 
-/// Convenience: builds `n` decorrelated copies of a Poisson process for
-/// multi-device experiments.
-pub fn poisson_fleet(lambda: f64, n: usize, parent_seed: u64) -> Vec<PoissonArrivals> {
-    (0..n)
-        .map(|i| PoissonArrivals::new(lambda, child_seed(parent_seed, i as u64)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,19 +312,6 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn trace_rejects_empty() {
         let _ = TraceArrivals::new(vec![]);
-    }
-
-    #[test]
-    fn fleet_members_are_decorrelated() {
-        let mut fleet = poisson_fleet(10.0, 2, 5);
-        let a: Vec<f64> = (0..50).map(|s| fleet[0].sample(s)).collect();
-        let mut fleet2 = poisson_fleet(10.0, 2, 5);
-        let b: Vec<f64> = (0..50).map(|s| fleet2[1].sample(s)).collect();
-        assert_ne!(a, b, "different streams must produce different samples");
-        // Same stream reproduces.
-        let mut fleet3 = poisson_fleet(10.0, 2, 5);
-        let a2: Vec<f64> = (0..50).map(|s| fleet3[0].sample(s)).collect();
-        assert_eq!(a, a2);
     }
 
     #[test]

@@ -93,16 +93,6 @@ impl<T> EventQueue<T> {
             .push(Reverse(HeapEntry(Scheduled { time, seq, payload })));
     }
 
-    /// Schedules `payload` after a delay from the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `delay` is negative or NaN.
-    pub fn schedule_in(&mut self, delay: f64, payload: T) {
-        assert!(delay >= 0.0, "delay must be >= 0, got {delay}");
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Pops the earliest event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(f64, T)> {
         let Reverse(HeapEntry(ev)) = self.heap.pop()?;
@@ -145,16 +135,6 @@ mod tests {
         q.schedule(5.0, 3);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
         assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(10.0, "first");
-        q.pop();
-        q.schedule_in(2.5, "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, 12.5);
     }
 
     #[test]

@@ -67,25 +67,6 @@ impl TimeSeries {
         Some(tail.iter().sum::<f64>() / tail.len() as f64)
     }
 
-    /// Centered moving average with the given window (window ≥ 1); endpoints
-    /// use truncated windows. Returns a new series.
-    pub fn moving_average(&self, window: usize) -> TimeSeries {
-        assert!(window >= 1, "window must be >= 1");
-        let half = window / 2;
-        let n = self.values.len();
-        let values = (0..n)
-            .map(|i| {
-                let lo = i.saturating_sub(half);
-                let hi = (i + half + 1).min(n);
-                self.values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-            })
-            .collect();
-        TimeSeries {
-            name: format!("{}_ma{window}", self.name),
-            values,
-        }
-    }
-
     /// Least-squares slope of the series versus slot index over its final
     /// `window` samples (or the whole series if shorter). `None` when fewer
     /// than 2 samples.
@@ -419,16 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn moving_average_smooths() {
-        let s = TimeSeries::from_values("x", vec![0.0, 10.0, 0.0, 10.0, 0.0]);
-        let ma = s.moving_average(3);
-        assert_eq!(ma.len(), 5);
-        // Interior points average their neighborhood.
-        assert!((ma.values()[2] - 20.0 / 3.0).abs() < 1e-12);
-        assert!(ma.name().contains("ma3"));
-    }
-
-    #[test]
     fn slope_of_linear_series() {
         let s = TimeSeries::from_values("x", (0..100).map(|i| 3.0 * i as f64 + 7.0).collect());
         let slope = s.tail_slope(50).unwrap();
@@ -552,11 +523,5 @@ mod tests {
         write_csv_file(&path, "a,b\n1,2\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn moving_average_rejects_zero_window() {
-        let _ = TimeSeries::new("x").moving_average(0);
     }
 }

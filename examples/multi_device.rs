@@ -9,12 +9,13 @@
 //! ```
 
 use arvis::core::experiment::{v_for_knee, ExperimentConfig, ServiceSpec};
-use arvis::core::scenario::{ControllerSpec, Scenario, SessionSpec};
+use arvis::core::scenario::{ControllerSpec, FleetSpec, Scenario, SessionSpec};
 use arvis::core::session::SessionBatch;
-use arvis::core::telemetry::SessionSummary;
+use arvis::core::telemetry::{CsvRow, SessionSummary};
 use arvis::pointcloud::synth::{SubjectProfile, SynthBodyConfig};
 use arvis::quality::DepthProfile;
 use arvis::sim::rng::child_seed;
+use arvis_bench::runs_csv;
 
 fn main() {
     // One measured frame profile shared by the whole fleet.
@@ -59,13 +60,19 @@ fn main() {
         .fold(0.0f64, f64::max);
     println!("worst stable-device p99 backlog: {worst_p99:.0} points");
 
-    // The legacy fleet API is a thin layer over the same runtime.
-    let outcomes = arvis::core::distributed::run_fleet(
-        &base,
-        arvis::core::distributed::FleetSpec::heterogeneous(8, 0.8),
-    );
+    // The same construction as a built-in preset: `Scenario::fleet` spreads
+    // 8 devices' rates ±40% and runs each on the same batch runtime.
+    let fleet = Scenario::fleet(&base, FleetSpec::heterogeneous(8, 0.8));
+    let mut batch = SessionBatch::full_trace(&fleet);
+    batch.run();
+    let results = batch.into_results();
     println!("\n== legacy run_fleet compatibility (8 devices) ==");
-    print!("{}", arvis::core::distributed::fleet_csv(&outcomes));
-    let all_stable = outcomes.iter().all(|o| o.result.stable);
+    let keys = fleet
+        .sessions
+        .iter()
+        .enumerate()
+        .map(|(device, s)| CsvRow::new().field(device).fixed(s.service.mean_rate(), 1));
+    print!("{}", runs_csv("device,service_rate", keys.zip(&results)));
+    let all_stable = results.iter().all(|r| r.stable);
     println!("all devices stable: {all_stable}");
 }

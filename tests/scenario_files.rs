@@ -26,14 +26,19 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use arvis::core::churn::{ChurnArrivalSpec, ChurnSpec, LifetimeSpec};
+use arvis::core::churn::{ChurnArrivalSpec, ChurnPlane, ChurnSpec, LifetimeSpec};
 use arvis::core::experiment::ServiceSpec;
+use arvis::core::fault::{
+    CrashPolicy, DegradationGuardSpec, FaultEvent, FaultPlan, FaultPlane, ShedMode,
+};
+use arvis::core::json::{self, JsonError, JsonValue};
 use arvis::core::scenario::{ControllerSpec, Scenario, SessionSpec};
 use arvis::core::session::SessionBatch;
 use arvis::core::stream::ArStream;
 use arvis::core::telemetry::SessionSummary;
 use arvis::core::uplink::{
-    run_contended, BudgetProfile, BudgetStep, UplinkPolicy, UplinkSpec, UplinkVAdaptSpec,
+    run_contended, BudgetProfile, BudgetStep, SharedUplink, UplinkPolicy, UplinkSpec,
+    UplinkVAdaptSpec,
 };
 use arvis::quality::DepthProfile;
 use arvis_bench::presets::{scenario_preset, SCENARIO_PRESETS};
@@ -470,7 +475,7 @@ fn mini_text() -> String {
         .unwrap()
 }
 
-fn expect_err(text: &str, want: &str) -> arvis::core::json::JsonError {
+fn expect_err(text: &str, want: &str) -> JsonError {
     match Scenario::from_json_str(text) {
         Ok(_) => panic!("input unexpectedly parsed (wanted error \"{want}\"):\n{text}"),
         Err(e) => {
@@ -686,6 +691,174 @@ fn duplicate_keys_are_rejected() {
         "{\"schema\": 1, \"schema\": 1, \"slots\": 10, \"sessions\": []}",
         "duplicate key \"schema\"",
     );
+}
+
+/// One invalid value of a spec that has both a JSON decoder and panicking
+/// constructors (fault plans are checked against a 2-session fleet).
+enum Invalid {
+    Budget(BudgetProfile),
+    Policy(UplinkPolicy),
+    Guard(DegradationGuardSpec),
+    Churn(Box<ChurnSpec>),
+    Fault(Vec<FaultEvent>),
+    Controller(ControllerSpec),
+    VAdapt(UplinkVAdaptSpec),
+}
+
+/// The message a constructor panics with.
+fn panic_message(build: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+        .expect_err("the constructor must reject the spec");
+    *payload
+        .downcast::<String>()
+        .expect("a formatted panic message")
+}
+
+#[test]
+fn decoders_and_panicking_constructors_report_one_message() {
+    // Each spec has one validation walk: its decoder must return that
+    // walk's message as a positioned error, and every panicking entry
+    // point must panic with the very same text.
+    let reparse = |tree: Result<JsonValue, JsonError>| json::parse(&tree.unwrap().to_pretty());
+    let diurnal = |amplitude, period| {
+        Invalid::Budget(BudgetProfile::Diurnal {
+            mean: 10.0,
+            amplitude,
+            period,
+            phase: 0.0,
+        })
+    };
+    let steps = |starts: &[u64]| {
+        let steps = starts
+            .iter()
+            .map(|&start| BudgetStep { start, budget: 1.0 });
+        Invalid::Budget(BudgetProfile::PiecewiseSteps(steps.collect()))
+    };
+    let guard = |edit: fn(&mut DegradationGuardSpec)| {
+        let mut guard = DegradationGuardSpec {
+            ema_alpha: 0.1,
+            engage_above: 0.9,
+            release_below: 0.5,
+            backlog_limit: f64::INFINITY,
+            shed_fraction: 0.5,
+            mode: ShedMode::Defer,
+        };
+        edit(&mut guard);
+        Invalid::Guard(guard)
+    };
+    let churn = |spec| Invalid::Churn(Box::new(spec));
+    let template = scenario_preset("e1_fig2").unwrap().sessions[0].clone();
+    let poisson = |lambda| ChurnArrivalSpec::Poisson { lambda, seed: 1 };
+    let crash = |slot, restart_after, policy| FaultEvent::SessionCrash {
+        session: 0,
+        slot,
+        restart_after,
+        policy,
+    };
+    let cases = [
+        Invalid::Budget(BudgetProfile::Constant(-5.0)),
+        diurnal(11.0, 5),
+        diurnal(1.0, 0),
+        steps(&[3]),
+        steps(&[0, 0]),
+        Invalid::Budget(BudgetProfile::Trace(Vec::new())),
+        Invalid::Budget(BudgetProfile::Trace(vec![1.0, -2.0])),
+        Invalid::Policy(UplinkPolicy::WeightedMaxWeight {
+            weights: vec![1.0, 0.0],
+        }),
+        Invalid::Policy(UplinkPolicy::WeightedMaxWeight { weights: vec![] }),
+        Invalid::Policy(UplinkPolicy::AlphaFair { alpha: 0.5 }),
+        guard(|g| g.ema_alpha = 0.0),
+        guard(|g| g.release_below = 0.95),
+        guard(|g| g.backlog_limit = 0.0),
+        guard(|g| g.shed_fraction = 1.5),
+        guard(|g| g.mode = ShedMode::Clamp { factor: 1.0 }),
+        churn(ChurnSpec::new().with_weight(2.0)),
+        churn(ChurnSpec::new().with_arrivals(poisson(0.1), template.clone(), 0)),
+        churn(ChurnSpec::new().with_arrivals(poisson(-1.0), template.clone(), 3)),
+        churn(ChurnSpec::new().with_lifetime(LifetimeSpec::Fixed { slots: 0 })),
+        Invalid::Fault(vec![FaultEvent::Outage { start: 5, slots: 0 }]),
+        Invalid::Fault(vec![FaultEvent::GrantLoss {
+            session: 5,
+            p: 0.5,
+            seed: 1,
+        }]),
+        Invalid::Fault(vec![crash(10, Some(5), CrashPolicy::Permanent)]),
+        Invalid::Fault(vec![
+            crash(10, Some(20), CrashPolicy::WarmRestart),
+            crash(15, Some(5), CrashPolicy::WarmRestart),
+        ]),
+        Invalid::Controller(ControllerSpec::Proposed { v: -1.0 }),
+        Invalid::Controller(ControllerSpec::Threshold { thresholds: vec![] }),
+        Invalid::Controller(ControllerSpec::Threshold {
+            thresholds: vec![2.0, 1.0],
+        }),
+        Invalid::Controller(ControllerSpec::AdaptiveV {
+            initial_v: 1e6,
+            target_backlog: 0.0,
+        }),
+        Invalid::VAdapt(UplinkVAdaptSpec {
+            low: 0.99,
+            ..UplinkVAdaptSpec::default()
+        }),
+        Invalid::VAdapt(UplinkVAdaptSpec {
+            step: 1.5,
+            ..UplinkVAdaptSpec::default()
+        }),
+        Invalid::VAdapt(UplinkVAdaptSpec {
+            min_v_scale: 0.0,
+            ..UplinkVAdaptSpec::default()
+        }),
+    ];
+    for case in cases {
+        let fault = |plan: FaultPlan| {
+            let decoded = FaultPlan::from_json(&reparse(plan.to_json()).unwrap(), 2);
+            (
+                decoded.map(drop),
+                panic_message(|| drop(FaultPlane::new(&plan, 2))),
+            )
+        };
+        let (decoded, built) = match case {
+            Invalid::Budget(budget) => (
+                BudgetProfile::from_json(&reparse(budget.to_json()).unwrap()).map(drop),
+                panic_message(|| {
+                    let policy = UplinkPolicy::ProportionalShare;
+                    drop(SharedUplink::new(UplinkSpec { budget, policy }));
+                }),
+            ),
+            Invalid::Policy(policy) => (
+                UplinkPolicy::from_json(&reparse(policy.to_json()).unwrap()).map(drop),
+                panic_message(|| drop(UplinkSpec::new(100.0, policy))),
+            ),
+            Invalid::Guard(guard) => fault(FaultPlan::new().with_guard(guard)),
+            Invalid::Churn(churn) => (
+                ChurnSpec::from_json(&reparse(churn.to_json()).unwrap()).map(drop),
+                panic_message(|| drop(ChurnPlane::new(&churn, &Scenario::new(10)))),
+            ),
+            Invalid::Fault(events) => fault(FaultPlan {
+                events,
+                guard: None,
+            }),
+            Invalid::Controller(controller) => (
+                ControllerSpec::from_json(&reparse(controller.to_json()).unwrap()).map(drop),
+                panic_message(|| {
+                    let _ = controller.build();
+                }),
+            ),
+            Invalid::VAdapt(adapt) => (
+                UplinkVAdaptSpec::from_json(&reparse(adapt.to_json()).unwrap()).map(drop),
+                panic_message(|| {
+                    let _ = adapt.build(1e6);
+                }),
+            ),
+        };
+        let err = decoded.expect_err(&built);
+        assert!(
+            err.pos.is_some_and(|pos| pos.line > 0),
+            "decoder error must be positioned: {err}"
+        );
+        assert_eq!(err.msg, built, "decoder and constructor disagree");
+    }
 }
 
 /// The mini fuzz loop shared by the schema-1 and schema-2 batteries:

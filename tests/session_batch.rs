@@ -6,14 +6,14 @@
 //! 2. batch results are invariant to session order;
 //! 3. batch results are invariant to the fan-out chunk size.
 //!
-//! Together these enforce the redesign's acceptance criterion: the thin
-//! compatibility layers (`Experiment::run`, `run_fleet`, the sweeps) cannot
-//! drift from the batch runtime, because both are the same kernel.
+//! Together these enforce the redesign's acceptance criterion: the legacy
+//! `Experiment::run` and the fleet/sweep scenarios cannot drift from the
+//! batch runtime, because both are the same kernel.
 
 use proptest::prelude::*;
 
 use arvis::core::experiment::{Experiment, ExperimentConfig, ExperimentResult, ServiceSpec};
-use arvis::core::scenario::{ControllerSpec, Scenario, SessionSpec};
+use arvis::core::scenario::{ControllerSpec, FleetSpec, Scenario, SessionSpec};
 use arvis::core::session::SessionBatch;
 use arvis::quality::DepthProfile;
 
@@ -190,48 +190,49 @@ proptest! {
 
 #[test]
 fn run_fleet_and_sweeps_match_sequential_experiments() {
-    // The compatibility layers over the batch runtime must agree with
+    // The fleet and sweep scenarios stepped as one batch must agree with
     // running each grid point through the legacy API by hand.
     let base = ExperimentConfig::new(profile(), 2_000.0, 400).with_controller_v(1e7);
+    let run = |scenario: &Scenario| {
+        let mut batch = SessionBatch::full_trace(scenario).with_chunk_size(1);
+        batch.run();
+        batch.into_results()
+    };
 
     // Fleet.
-    let fleet = arvis::core::distributed::FleetSpec::heterogeneous(4, 0.8);
-    let outcomes = arvis::core::distributed::run_fleet(&base, fleet);
-    for o in &outcomes {
+    let fleet = Scenario::fleet(&base, FleetSpec::heterogeneous(4, 0.8));
+    for (device, (spec, r)) in fleet.sessions.iter().zip(run(&fleet)).enumerate() {
         let cfg = base
             .clone()
-            .with_service(ServiceSpec::Constant(o.service_rate))
-            .with_seed(arvis::sim::rng::child_seed(0xF1EE7, o.device as u64));
+            .with_service(spec.service)
+            .with_seed(arvis::sim::rng::child_seed(0xF1EE7, device as u64));
         let solo = Experiment::new(cfg).run(&mut arvis::core::controller::ProposedDpp::new(1e7));
-        assert_eq!(o.result.backlog, solo.backlog, "device {}", o.device);
+        assert_eq!(r.backlog, solo.backlog, "device {device}");
         assert_eq!(
-            o.result.mean_quality.to_bits(),
+            r.mean_quality.to_bits(),
             solo.mean_quality.to_bits(),
-            "device {}",
-            o.device
+            "device {device}"
         );
     }
 
     // V-sweep.
     let vs = [1e5, 1e6, 1e7];
-    let points = arvis::core::sweep::v_sweep(&base, &vs);
-    for (p, &v) in points.iter().zip(&vs) {
+    for (r, &v) in run(&Scenario::v_sweep(&base, &vs)).iter().zip(&vs) {
         let solo = Experiment::new(base.clone().with_controller_v(v))
             .run(&mut arvis::core::controller::ProposedDpp::new(v));
-        assert_eq!(p.mean_quality.to_bits(), solo.mean_quality.to_bits());
-        assert_eq!(p.mean_backlog.to_bits(), solo.mean_backlog.to_bits());
-        assert_eq!(p.stable, solo.stable);
+        assert_eq!(r.mean_quality.to_bits(), solo.mean_quality.to_bits());
+        assert_eq!(r.mean_backlog.to_bits(), solo.mean_backlog.to_bits());
+        assert_eq!(r.stable, solo.stable);
     }
 
     // Rate sweep.
     let rates = [800.0, 3_200.0];
-    let points = arvis::core::sweep::rate_sweep(&base, &rates);
-    for (p, &rate) in points.iter().zip(&rates) {
+    for (r, &rate) in run(&Scenario::rate_sweep(&base, &rates)).iter().zip(&rates) {
         let solo = Experiment::new(base.clone().with_service(ServiceSpec::Constant(rate))).run(
             &mut arvis::core::controller::ProposedDpp::new(base.controller_v),
         );
-        assert_eq!(p.mean_quality.to_bits(), solo.mean_quality.to_bits());
-        assert_eq!(p.mean_backlog.to_bits(), solo.mean_backlog.to_bits());
+        assert_eq!(r.mean_quality.to_bits(), solo.mean_quality.to_bits());
+        assert_eq!(r.mean_backlog.to_bits(), solo.mean_backlog.to_bits());
     }
 }
 
